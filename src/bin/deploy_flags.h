@@ -54,15 +54,22 @@ inline bool ParseDeployFlag(int argc, char** argv, int* i, DeployConfig* cfg) {
     cfg->host = v;
   } else if (FlagValue(argc, argv, i, "--base-port", &v)) {
     cfg->base_port = static_cast<uint16_t>(std::strtoul(v.c_str(), nullptr, 10));
-  } else if (FlagValue(argc, argv, i, "--verify-cascade", &v)) {
-    cfg->verify_cascade = v != "0";
   } else if (FlagValue(argc, argv, i, "--abort-deadline-ms", &v)) {
     cfg->abort_deadline_us = std::strtoll(v.c_str(), nullptr, 10) * 1000;
-  } else if (FlagValue(argc, argv, i, "--abort-agreement", &v)) {
-    cfg->abort_agreement = v != "0";
   } else if (FlagValue(argc, argv, i, "--chaos-base-port", &v)) {
     cfg->chaos_base_port = static_cast<uint16_t>(std::strtoul(v.c_str(), nullptr, 10));
   } else {
+    return false;
+  }
+  return true;
+}
+
+// Rejects a shape every node would divide by: --servers and
+// --clients-per-host must be at least 1 (non-numeric text parses to 0).
+// Prints the reason under `prog` and returns false.
+inline bool CheckDeployShape(const DeployConfig& cfg, const char* prog) {
+  if (cfg.num_servers == 0 || cfg.clients_per_host == 0) {
+    std::fprintf(stderr, "%s: --servers and --clients-per-host must be at least 1\n", prog);
     return false;
   }
   return true;

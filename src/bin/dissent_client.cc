@@ -62,6 +62,9 @@ int Main(int argc, char** argv) {
       return 2;
     }
   }
+  if (!CheckDeployShape(cfg, "dissent-client")) {
+    return 2;
+  }
   if (sim_reference) {
     return SimReference(cfg);
   }

@@ -111,6 +111,9 @@ int Main(int argc, char** argv) {
       return 2;
     }
   }
+  if (!CheckDeployShape(cfg, "dissentd")) {
+    return 2;
+  }
   if (index >= cfg.num_servers) {
     std::fprintf(stderr, "dissentd: --index required (< --servers)\n");
     return 2;

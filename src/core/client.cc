@@ -39,9 +39,14 @@ void DissentClient::ResetScheduleWindow(SlotSchedule initial) {
   sched_base_round_ = 1;
 }
 
-void DissentClient::AssignSlot(size_t slot_index, size_t num_slots) {
-  slot_ = slot_index;
-  ResetScheduleWindow(SlotSchedule(num_slots, def_.policy.default_slot_length));
+bool DissentClient::AssignSlot(const std::vector<BigInt>& pseudonym_keys) {
+  auto it = std::find(pseudonym_keys.begin(), pseudonym_keys.end(), pseudonym_.pub);
+  if (it == pseudonym_keys.end()) {
+    return false;
+  }
+  slot_ = static_cast<size_t>(it - pseudonym_keys.begin());
+  ResetScheduleWindow(SlotSchedule(pseudonym_keys.size(), def_.policy.default_slot_length));
+  return true;
 }
 
 const SlotSchedule& DissentClient::ScheduleFor(uint64_t round) const {

@@ -41,8 +41,9 @@ class DissentClient {
   // Fresh pseudonym key submitted to the key shuffle.
   const SchnorrKeyPair& pseudonym() const { return pseudonym_; }
   // Called once the shuffle output is known: the position of our pseudonym
-  // public key in the shuffled list is our slot.
-  void AssignSlot(size_t slot_index, size_t num_slots);
+  // public key in the shuffled key order is our slot. False (and no slot)
+  // when the order does not contain our key.
+  bool AssignSlot(const std::vector<BigInt>& pseudonym_keys);
   std::optional<size_t> slot() const { return slot_; }
   size_t pipeline_depth() const { return pipeline_depth_; }
 

@@ -69,11 +69,7 @@ bool Coordinator::RunScheduling() {
   }
   scheduling_seconds_ =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - sched_start).count();
-  // The final b components are the pseudonym keys, in shuffled order.
-  pseudonym_keys_.clear();
-  for (const auto& row : cascade.final_rows) {
-    pseudonym_keys_.push_back(row[0].b);
-  }
+  pseudonym_keys_ = PseudonymKeyOrder(cascade.final_rows);
   return FinishScheduling();
 }
 
@@ -98,18 +94,11 @@ bool Coordinator::RunSchedulingExternal(std::vector<BigInt> keys) {
 
 bool Coordinator::FinishScheduling() {
   // Each client locates its own key; that index is its slot (known only to
-  // the client in a real deployment; the coordinator stores the mapping for
-  // test assertions but never feeds it back into protocol logic).
-  slot_of_client_.assign(clients_.size(), 0);
-  for (size_t i = 0; i < clients_.size(); ++i) {
-    auto it = std::find(pseudonym_keys_.begin(), pseudonym_keys_.end(),
-                        clients_[i]->pseudonym().pub);
-    if (it == pseudonym_keys_.end()) {
+  // the client in a real deployment).
+  for (auto& c : clients_) {
+    if (!c->AssignSlot(pseudonym_keys_)) {
       return false;
     }
-    size_t slot = static_cast<size_t>(it - pseudonym_keys_.begin());
-    slot_of_client_[i] = slot;
-    clients_[i]->AssignSlot(slot, pseudonym_keys_.size());
   }
   for (auto& s : servers_) {
     s->BeginSlots(pseudonym_keys_.size());

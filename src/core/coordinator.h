@@ -184,7 +184,6 @@ class Coordinator {
   std::vector<std::vector<uint32_t>> attached_;  // per server: its clients
   std::vector<uint64_t> last_seen_round_;
   std::vector<BigInt> pseudonym_keys_;
-  std::vector<size_t> slot_of_client_;
   uint64_t next_round_ = 1;
   size_t last_participation_ = 0;
   std::map<uint64_t, RoundRecord> history_;

@@ -407,6 +407,9 @@ ServerEngine::Actions ServerEngine::HandleMessage(const Peer& from, const WireMe
 
 void ServerEngine::DispatchMessage(const Peer& from, const WireMessage& msg, int64_t now_us,
                                    Actions& a) {
+  if (std::holds_alternative<wire::RoundAbort>(msg)) {
+    return;  // retired unsigned vote: only an AbortCommit certificate aborts
+  }
   if (const auto* submit = std::get_if<wire::ClientSubmit>(&msg)) {
     if (from.kind != Peer::Kind::kClient || from.index != submit->client_id) {
       return;
@@ -425,13 +428,6 @@ void ServerEngine::DispatchMessage(const Peer& from, const WireMessage& msg, int
   }
   if (const auto* req = std::get_if<wire::CatchUpRequest>(&msg)) {
     HandleCatchUpRequest(from, *req, a);
-    return;
-  }
-  if (const auto* abort = std::get_if<wire::RoundAbort>(&msg)) {
-    if (from.kind == Peer::Kind::kServer && from.index == abort->server_id &&
-        abort->server_id < num_servers_ && abort->server_id != index_) {
-      RecordAbortVote(abort->round, abort->server_id, now_us, a);
-    }
     return;
   }
   if (const auto* prep = std::get_if<wire::AbortPrepare>(&msg)) {
@@ -595,21 +591,16 @@ ServerEngine::Actions ServerEngine::HandleTimer(uint64_t token, int64_t now_us) 
     return a;
   }
   if (kind == kAbortDeadline) {
-    // The round is still unresolved this long after it opened: vote to
-    // abort it (the vote only carries once >= M-1 servers agree).
-    if (config_.abort_agreement && config_.abort_deadline_us > 0) {
-      // Two-phase path: sign and (re-)broadcast our prepare for the finish
-      // frontier, and re-arm so a healed partition eventually re-exchanges
-      // votes at the converged epoch — receivers dedup, so re-broadcast is
-      // free when nothing changed.
-      if (FindRound(id) != nullptr && !catching_up_) {
-        if (id == next_round_to_finish_) {
-          BroadcastOwnPrepare(id, now_us, a);
-        }
-        a.timers.push_back({Token(id, kAbortDeadline), config_.abort_deadline_us});
+    // The round is still unresolved this long after it opened: sign and
+    // (re-)broadcast our prepare for the finish frontier (it only carries
+    // once >= M-1 servers agree), and re-arm so a healed partition
+    // eventually re-exchanges votes at the converged epoch — receivers
+    // dedup, so re-broadcast is free when nothing changed.
+    if (FindRound(id) != nullptr && !catching_up_) {
+      if (id == next_round_to_finish_) {
+        BroadcastOwnPrepare(id, now_us, a);
       }
-    } else if (FindRound(id) != nullptr) {
-      RecordAbortVote(id, static_cast<uint32_t>(index_), now_us, a);
+      a.timers.push_back({Token(id, kAbortDeadline), config_.abort_deadline_us});
     }
     Seal(a, now_us);
     return a;
@@ -736,7 +727,7 @@ void ServerEngine::MaybeCertify(uint64_t round, Actions& a) {
   // certificate can ever assemble and completing is the only outcome left.
   // (Two promisers block each other forever: each needs the other's
   // signature to release, so neither signs and the round aborts instead.)
-  if (config_.abort_agreement && config_.abort_deadline_us > 0 && st.promised_abort) {
+  if (st.promised_abort) {
     for (size_t o = 0; o < num_servers_; ++o) {
       if (o != index_ && !st.sigs[o].has_value()) {
         return;
@@ -851,7 +842,6 @@ void ServerEngine::MaybeFinishRounds(int64_t now_us, Actions& a) {
     const bool flagged = done.accusation_requested;
     a.done.push_back(std::move(done));
     st.active = false;
-    abort_votes_.erase(round);
     abort_prepares_.erase(round);
     pending_certs_.erase(round);
     ++next_round_to_finish_;
@@ -932,62 +922,9 @@ void ServerEngine::HandleCatchUpRequest(const Peer& from, const wire::CatchUpReq
   // fault model can produce.
 }
 
-void ServerEngine::RecordAbortVote(uint64_t round, uint32_t server, int64_t now_us, Actions& a) {
-  // Legacy one-shot path only: with abort agreement on, unsigned RoundAbort
-  // frames (including hostile ones) are ignored entirely.
-  if (config_.abort_deadline_us <= 0 || config_.abort_agreement || server >= num_servers_) {
-    return;
-  }
-  // Votes are only meaningful for rounds still unresolved and within the
-  // window any honest server could have open.
-  if (round < next_round_to_finish_ ||
-      round >= next_round_to_start_ + 2 * config_.pipeline_depth + 2) {
-    return;
-  }
-  auto& votes = abort_votes_[round];
-  if (votes.empty()) {
-    votes.assign(num_servers_, false);
-  }
-  if (votes[server]) {
-    return;
-  }
-  votes[server] = true;
-  if (server == index_) {
-    Broadcast(wire::RoundAbort{round, static_cast<uint32_t>(index_)}, a);
-  }
-  MaybeAbortRound(round, now_us, a);
-}
-
-void ServerEngine::MaybeAbortRound(uint64_t round, int64_t now_us, Actions& a) {
-  // Aborts resolve strictly at the finish frontier, like outputs, so every
-  // client sees one totally-ordered schedule history.
-  if (round != next_round_to_finish_) {
-    return;
-  }
-  auto it = abort_votes_.find(round);
-  if (it == abort_votes_.end()) {
-    return;
-  }
-  const std::vector<bool>& votes = it->second;
-  // Never abort a round we did not give up on ourselves, and require every
-  // server that could still be alive (>= M-1 of M) to agree. A server that
-  // can finish the round finishes it instead of voting; the residual race —
-  // one survivor certifying in the same instant its peers vote — is the
-  // classic asynchronous-consensus gap and is documented as out of scope
-  // (deployments re-form the group on server failure, §3.5).
-  if (!votes[index_]) {
-    return;
-  }
-  size_t n = 0;
-  for (bool v : votes) {
-    n += v ? 1 : 0;
-  }
-  if (n + 1 < num_servers_) {
-    return;
-  }
-  ApplyAbort(round, now_us, a);
-  MaybeAbortRound(next_round_to_finish_, now_us, a);
-}
+// ---------------------------------------------------------------------------
+// ServerEngine: epoch-committed abort agreement + server catch-up
+// ---------------------------------------------------------------------------
 
 void ServerEngine::ApplyAbort(uint64_t round, int64_t now_us, Actions& a) {
   RoundState* st = FindRound(round);
@@ -999,7 +936,6 @@ void ServerEngine::ApplyAbort(uint64_t round, int64_t now_us, Actions& a) {
   // close, owners re-request — so clients and servers stay in lockstep
   // through the gap.
   logic_->AbortRound(round);
-  abort_votes_.erase(round);
   abort_prepares_.erase(round);
   pending_certs_.erase(round);
   ++next_round_to_finish_;
@@ -1032,10 +968,6 @@ void ServerEngine::ApplyAbort(uint64_t round, int64_t now_us, Actions& a) {
   MaybeFinishRounds(now_us, a);
 }
 
-// ---------------------------------------------------------------------------
-// ServerEngine: epoch-committed abort agreement + server catch-up
-// ---------------------------------------------------------------------------
-
 void ServerEngine::BroadcastOwnPrepare(uint64_t round, int64_t now_us, Actions& a) {
   RoundState* st = FindRound(round);
   if (st != nullptr && st->sent_sig) {
@@ -1067,7 +999,7 @@ void ServerEngine::BroadcastOwnPrepare(uint64_t round, int64_t now_us, Actions& 
 
 void ServerEngine::HandleAbortPrepare(const Peer& from, const wire::AbortPrepare& msg,
                                       int64_t now_us, Actions& a) {
-  if (config_.abort_deadline_us <= 0 || !config_.abort_agreement) {
+  if (config_.abort_deadline_us <= 0) {
     return;
   }
   if (from.kind != Peer::Kind::kServer || from.index != msg.server_id ||
@@ -1153,7 +1085,7 @@ bool ServerEngine::VerifyAbortCert(const wire::AbortCommit& cert, uint64_t epoch
 
 void ServerEngine::HandleAbortCommit(const Peer& from, const wire::AbortCommit& msg,
                                      int64_t now_us, Actions& a) {
-  if (config_.abort_deadline_us <= 0 || !config_.abort_agreement) {
+  if (config_.abort_deadline_us <= 0) {
     return;
   }
   if (from.kind != Peer::Kind::kServer || from.index >= num_servers_ || from.index == index_) {
@@ -1205,7 +1137,7 @@ void ServerEngine::CommitAbortCert(wire::AbortCommit cert, int64_t now_us, Actio
 }
 
 void ServerEngine::BeginServerCatchUp(int64_t now_us, Actions& a) {
-  if (config_.abort_deadline_us <= 0 || !config_.abort_agreement || catching_up_) {
+  if (config_.abort_deadline_us <= 0 || catching_up_) {
     return;
   }
   (void)now_us;
@@ -1226,7 +1158,7 @@ void ServerEngine::SendServerCatchUpRequest(Actions& a) {
 
 void ServerEngine::HandleServerCatchUpRequest(const Peer& from,
                                               const wire::ServerCatchUpRequest& req, Actions& a) {
-  if (config_.abort_deadline_us <= 0 || !config_.abort_agreement) {
+  if (config_.abort_deadline_us <= 0) {
     return;
   }
   if (from.kind != Peer::Kind::kServer || from.index != req.server_id ||
@@ -1273,7 +1205,7 @@ void ServerEngine::HandleServerCatchUpRequest(const Peer& from,
 
 void ServerEngine::HandleServerCatchUpBatch(const Peer& from, const wire::ServerCatchUpBatch& batch,
                                             int64_t now_us, Actions& a) {
-  if (config_.abort_deadline_us <= 0 || !config_.abort_agreement) {
+  if (config_.abort_deadline_us <= 0) {
     return;
   }
   if (from.kind != Peer::Kind::kServer || from.index != batch.server_id ||
@@ -1345,7 +1277,6 @@ void ServerEngine::HandleServerCatchUpBatch(const Peer& from, const wire::Server
     done.started_at_us = now_us;
     a.done.push_back(std::move(done));
     last_participation_ = fin.participation;
-    abort_votes_.erase(round);
     abort_prepares_.erase(round);
     pending_certs_.erase(round);
     ++next_round_to_finish_;
@@ -2232,7 +2163,7 @@ void ServerEngine::HandleRebuttal(const wire::BlameRebuttal& msg, const Peer& fr
 }
 
 void ServerEngine::FinishBlame(uint8_t kind, uint32_t culprit, int64_t now_us, Actions& a) {
-  if (!config_.verdict_agreement || num_servers_ == 1) {
+  if (num_servers_ == 1) {
     ConcludeBlame(kind, culprit, true, now_us, a);
     return;
   }

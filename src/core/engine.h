@@ -13,9 +13,9 @@
 // The drivers are thin transports over this API: Coordinator (coordinator.h)
 // delivers Envelopes in-process with zero latency, NetDissent
 // (net_protocol.h) maps them onto sim::Network sends and Simulator timers,
-// and a future real-socket (io_uring) transport slots in the same way. The
-// engines are the only place protocol order lives, so the drivers can never
-// disagree on it.
+// and ServerNode/ClientHostNode (net/socket_transport.h) map them onto
+// length-prefixed TCP frames and epoll timers. The engines are the only
+// place protocol order lives, so the drivers can never disagree on it.
 //
 // Shared-payload ownership rules: an Envelope holds a
 // `shared_ptr<const WireMessage>`, and one message object is shared by every
@@ -31,9 +31,9 @@
 //     keyed on the message/frame pointer — identity is stable for the
 //     lifetime of the shared_ptr and broadcast envelopes are emitted
 //     consecutively;
-//   * a transport expanding kAttachedClients chooses the wire fan-out (one
-//     frame per client, or one frame per client-hosting machine): the frame
-//     bytes are identical for every recipient by construction.
+//   * a transport expanding kAttachedClients sends one frame per
+//     client-hosting machine, which hands it to every hosted client: the
+//     frame bytes are identical for every recipient by construction.
 //
 // Crypto fast-path (Elem/MultiExp) rules — the engines' proof work (blame
 // mix cascade, output certificates) rides the multi-exponentiation engine
@@ -235,30 +235,18 @@ class ServerEngine {
     // Ack/retransmit layer for unicast traffic (see ReliableMailbox).
     ReliabilityConfig reliability;
     // Graceful degradation: when nonzero, a round still unfinished this
-    // long after its window opened triggers an abort vote; once every
-    // server that is still alive (>= M-1 distinct votes, ours among them)
-    // agrees, the round at the finish frontier aborts cleanly — all-zero
+    // long after its window opened is retired by epoch-committed abort
+    // agreement. Votes are signed wire::AbortPrepare frames stamped with the
+    // voter's abort epoch (aborts applied so far); the round at the finish
+    // frontier aborts only on a wire::AbortCommit certificate carrying the
+    // verified prepares of every server still alive (>= M-1) — all-zero
     // cleartext, RoundSummary{aborted} to the attached clients — and a
     // replacement round opens, so one crashed server past its restart
-    // deadline cannot wedge the pipeline forever. 0 disables aborts.
-    int64_t abort_deadline_us = 0;
-    // Two-phase epoch-committed abort agreement (the default): votes are
-    // signed wire::AbortPrepare frames stamped with the voter's abort epoch
-    // (aborts applied so far), a round only aborts on a wire::AbortCommit
-    // certificate carrying >= M-1 verified signatures, and certificates are
-    // idempotently re-deliverable — a healing partition converges by
+    // deadline cannot wedge the pipeline forever. Certificates are
+    // idempotently re-deliverable: a healing partition converges by
     // certificate replay, and a server restored from a stale snapshot is
-    // unwedged via the ServerCatchUpRequest/Batch path. When false (with
-    // abort_deadline_us > 0) the legacy one-shot RoundAbort broadcast runs
-    // byte-identically to its pre-agreement form.
-    bool abort_agreement = true;
-    // Verdict agreement (§3.9 hardening): before acting on any expulsion,
-    // every server broadcasts a signed VerdictShare over its proposed
-    // verdict and waits for a verified share from *every* peer over the
-    // identical (session, round, kind, culprit) context. A mismatch or a
-    // missing share downgrades the verdict to inconclusive — no server ever
-    // expels unilaterally on a verdict its peers did not provably reach.
-    bool verdict_agreement = true;
+    // unwedged via the ServerCatchUpRequest/Batch path. 0 disables aborts.
+    int64_t abort_deadline_us = 0;
     // Finished rounds retained as RoundSummary frames for client catch-up.
     size_t output_history = 64;
   };
@@ -267,7 +255,7 @@ class ServerEngine {
   struct RoundDone {
     uint64_t round = 0;
     bool completed = false;
-    bool aborted = false;  // fleet-voted RoundAbort (see Config::abort_deadline_us)
+    bool aborted = false;  // retired by AbortCommit (see Config::abort_deadline_us)
     Bytes cleartext;
     size_t participation = 0;
     bool below_alpha = false;           // §3.7 threshold would have stalled
@@ -286,9 +274,8 @@ class ServerEngine {
     TraceVerdict trace;             // pre-rebuttal trace verdict
     wire::BlameVerdict verdict;     // the final outcome clients receive
     // True when every server produced a verified VerdictShare over this
-    // exact verdict (trivially true with agreement disabled or M == 1);
-    // false when shares were missing or mismatched and the verdict was
-    // downgraded to inconclusive.
+    // exact verdict (trivially true at M == 1); false when shares were
+    // missing or mismatched and the verdict was downgraded to inconclusive.
     bool verdict_agreed = false;
   };
 
@@ -480,13 +467,11 @@ class ServerEngine {
   // abort path: retains the RoundSummary for catch-up serving.
   void RetainSummary(wire::RoundSummary summary);
   void HandleCatchUpRequest(const Peer& from, const wire::CatchUpRequest& req, Actions& a);
-  void RecordAbortVote(uint64_t round, uint32_t server, int64_t now_us, Actions& a);
-  void MaybeAbortRound(uint64_t round, int64_t now_us, Actions& a);
 
-  // --- epoch-committed abort agreement (Config::abort_agreement) ---
-  // The shared abort aftermath (deactivate, advance the logic's schedule
-  // with a zero cleartext, notify clients, reopen the pipeline) — called by
-  // the legacy unanimity path and by certificate application.
+  // --- epoch-committed abort agreement (Config::abort_deadline_us) ---
+  // The abort aftermath (deactivate, advance the logic's schedule with a
+  // zero cleartext, notify clients, reopen the pipeline) — called by
+  // certificate application and by catch-up replay.
   void ApplyAbort(uint64_t round, int64_t now_us, Actions& a);
   // Signs and broadcasts our AbortPrepare for the finish-frontier round at
   // the current epoch (idempotent re-broadcast on deadline re-arm).
@@ -524,9 +509,11 @@ class ServerEngine {
   void MaybeTrace(int64_t now_us, Actions& a);
   void HandleRebuttal(const wire::BlameRebuttal& msg, const Peer& from, int64_t now_us,
                       Actions& a);
-  // Verdict reached locally: with agreement on, broadcast our signed share
-  // and wait for every peer's before acting (ConcludeBlame); without it,
-  // conclude immediately.
+  // Verdict reached locally: broadcast our signed share and act
+  // (ConcludeBlame) only once every server has produced a verified share
+  // over the identical (session, round, kind, culprit) context. A mismatch
+  // or a missing share downgrades the verdict to inconclusive, so no server
+  // expels unilaterally; a lone server concludes at once.
   void FinishBlame(uint8_t kind, uint32_t culprit, int64_t now_us, Actions& a);
   void HandleVerdictShare(const wire::VerdictShare& share, const Peer& from, int64_t now_us,
                           Actions& a);
@@ -566,9 +553,6 @@ class ServerEngine {
   // Finished/aborted rounds retained for CatchUpRequest serving, newest at
   // the back, capped at Config::output_history.
   std::deque<wire::RoundSummary> recent_;
-  // RoundAbort votes per round (one bit per server), erased on resolution.
-  // Legacy path only (Config::abort_agreement == false).
-  std::map<uint64_t, std::vector<bool>> abort_votes_;
   uint64_t rounds_aborted_ = 0;
 
   // --- epoch-committed abort agreement state ---

@@ -284,6 +284,15 @@ bool VerifyShuffleCascade(const GroupDef& def, const CiphertextMatrix& submissio
   return result.steps.back().decrypted == result.final_rows;
 }
 
+std::vector<BigInt> PseudonymKeyOrder(const CiphertextMatrix& final_rows) {
+  std::vector<BigInt> keys;
+  keys.reserve(final_rows.size());
+  for (const auto& row : final_rows) {
+    keys.push_back(row[0].b);
+  }
+  return keys;
+}
+
 // --- wire codecs ---
 
 namespace {

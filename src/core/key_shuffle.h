@@ -82,6 +82,11 @@ ShuffleCascadeResult RunShuffleCascade(const GroupDef& def,
 bool VerifyShuffleCascade(const GroupDef& def, const CiphertextMatrix& submissions,
                           const ShuffleCascadeResult& result);
 
+// The slot order a pseudonym-key cascade decided: the b components of its
+// final (fully decrypted, width-1) rows. Slot k belongs to whoever holds
+// the k-th key (DissentClient::AssignSlot).
+std::vector<BigInt> PseudonymKeyOrder(const CiphertextMatrix& final_rows);
+
 // --- wire codecs (engine-driven blame shuffle, §3.9) ---
 //
 // The blame sub-phase runs the general message shuffle *over the wire*:

@@ -11,6 +11,9 @@ namespace dissent {
 namespace {
 constexpr size_t kParseCacheEntries = 8;
 constexpr size_t kChecksumBytes = 8;
+// Upper bound of the uniform client think time before each submission
+// (models app + OS) when no PlanetLab delay model is set.
+constexpr SimTime kClientJitterMax = 5 * kMillisecond;
 
 // FNV-1a, the frame-integrity trailer. Not cryptographic — transport frames
 // are authenticated at the protocol layer (signatures); this only converts
@@ -221,33 +224,14 @@ void NetDissent::DeliverToServer(size_t j, NodeId from, const Network::Frame& pa
   } else {
     // Client traffic arrives from a machine node; the claimed sender is
     // authentic iff that client is hosted on the sending machine (models the
-    // per-client authenticated connections a machine multiplexes). Clients
-    // speak ClientSubmit plus the client legs of the blame sub-phase.
-    uint32_t claimed;
-    if (const auto* submit = std::get_if<wire::ClientSubmit>(msg.get())) {
-      claimed = submit->client_id;
-    } else if (const auto* acc = std::get_if<wire::AccusationSubmit>(msg.get())) {
-      claimed = acc->client_id;
-    } else if (const auto* rebuttal = std::get_if<wire::BlameRebuttal>(msg.get())) {
-      claimed = rebuttal->client_id;
-    } else if (const auto* catch_up = std::get_if<wire::CatchUpRequest>(msg.get())) {
-      claimed = catch_up->client_id;
-    } else if (const auto* rel = std::get_if<wire::Reliable>(msg.get())) {
-      // Reliability wrapper around any of the above; the engine re-checks
-      // the inner frame's own claims after unwrapping.
-      claimed = rel->from_id;
-    } else if (const auto* ack = std::get_if<wire::Ack>(msg.get())) {
-      claimed = ack->from_id;
-    } else {
+    // per-client authenticated connections a machine multiplexes).
+    const std::optional<uint32_t> claimed = ClaimedClient(*msg);
+    const MachineNode& machine = machines_[from - servers_.size()];
+    if (!claimed.has_value() || *claimed < machine.first_client ||
+        *claimed >= machine.first_client + machine.num_clients || machine.upstream != j) {
       return;
     }
-    size_t m = from - servers_.size();
-    const MachineNode& machine = machines_[m];
-    if (claimed < machine.first_client || claimed >= machine.first_client + machine.num_clients ||
-        machine.upstream != j) {
-      return;
-    }
-    peer = ClientPeer(claimed);
+    peer = ClientPeer(*claimed);
   }
   DispatchServer(j, servers_[j]->engine->HandleMessage(peer, *msg, sim_->Now()));
 }
@@ -260,82 +244,32 @@ void NetDissent::DeliverToMachine(size_t m, NodeId from, const Network::Frame& p
   if (msg == nullptr) {
     return;
   }
-  const MachineNode& machine = machines_[m];
+  // The machine multiplexes per-client connections: a unicast frame reaches
+  // its addressee only, a certified broadcast every hosted client.
   const Peer peer = ServerPeer(static_cast<uint32_t>(from));
-  // Client-specific unicast traffic: hand the frame to the addressed client
-  // only (the machine multiplexes per-client connections). Blame challenges
-  // carry the addressee in the protocol frame; reliability wrappers carry it
-  // in their transport header.
-  uint64_t unicast_to = UINT64_MAX;
-  if (const auto* challenge = std::get_if<wire::BlameChallenge>(msg.get())) {
-    unicast_to = challenge->client_id;
-  } else if (const auto* rel = std::get_if<wire::Reliable>(msg.get())) {
-    unicast_to = rel->to_id;
-  } else if (const auto* ack = std::get_if<wire::Ack>(msg.get())) {
-    unicast_to = ack->to_id;
-  }
-  if (unicast_to != UINT64_MAX) {
-    size_t i = static_cast<size_t>(unicast_to);
-    if (i >= machine.first_client && i < machine.first_client + machine.num_clients &&
-        clients_[i]->online) {
+  const auto [begin, end] =
+      HostedRecipients(*msg, machines_[m].first_client, machines_[m].num_clients);
+  for (size_t i = begin; i < end; ++i) {
+    if (clients_[i]->online) {
       DispatchClient(i, clients_[i]->engine->HandleMessage(peer, *msg, sim_->Now()));
     }
-    return;
-  }
-  if (!std::holds_alternative<wire::Output>(*msg) &&
-      !std::holds_alternative<wire::BlameStart>(*msg) &&
-      !std::holds_alternative<wire::BlameVerdict>(*msg) &&
-      !std::holds_alternative<wire::RoundSummary>(*msg)) {
-    return;
-  }
-  // Fan the (already parsed) broadcast to every hosted client. Duplicate
-  // frames (the per-client-frame comparison mode) are shed by each engine's
-  // replay guards, so semantics match the shared-frame path exactly.
-  // RoundSummary is fanned too: catch-up replies address one client, but a
-  // summary is certified public output — any co-hosted client behind on that
-  // round may ingest it, and the rest drop it via the round guard.
-  for (size_t k = 0; k < machine.num_clients; ++k) {
-    size_t i = machine.first_client + k;
-    if (!clients_[i]->online) {
-      continue;
-    }
-    DispatchClient(i, clients_[i]->engine->HandleMessage(peer, *msg, sim_->Now()));
   }
 }
 
 bool NetDissent::Start() {
+  std::vector<BigInt> keys;
   if (options_.direct_scheduling) {
     // Slot i = client i: skips the verified shuffle (whose cost at 1,000+
     // clients dwarfs the rounds under test) while leaving the round path
     // byte-identical to a shuffle that happened to produce the identity.
-    std::vector<BigInt> keys;
     keys.reserve(clients_.size());
-    for (size_t i = 0; i < clients_.size(); ++i) {
-      clients_[i]->logic->AssignSlot(i, clients_.size());
-      keys.push_back(clients_[i]->logic->pseudonym().pub);
+    for (const auto& c : clients_) {
+      keys.push_back(c->logic->pseudonym().pub);
     }
-    for (auto& s : servers_) {
-      s->logic->SetPseudonymKeys(keys);
-    }
-    pseudonym_keys_ = std::move(keys);
   } else if (options_.preset_pseudonym_keys.has_value()) {
     // Externally computed cascade result (see Options): slots follow the
     // provided order exactly as if the shuffle had run here.
-    std::vector<BigInt> keys = *options_.preset_pseudonym_keys;
-    if (keys.size() != clients_.size()) {
-      return false;
-    }
-    for (size_t i = 0; i < clients_.size(); ++i) {
-      auto it = std::find(keys.begin(), keys.end(), clients_[i]->logic->pseudonym().pub);
-      if (it == keys.end()) {
-        return false;
-      }
-      clients_[i]->logic->AssignSlot(static_cast<size_t>(it - keys.begin()), keys.size());
-    }
-    for (auto& s : servers_) {
-      s->logic->SetPseudonymKeys(keys);
-    }
-    pseudonym_keys_ = std::move(keys);
+    keys = *options_.preset_pseudonym_keys;
   } else {
     // Scheduling (§3.10) through the verified cascade — the multi-exp
     // engine keeps this real (non-direct) path viable at the 1,000-client
@@ -351,25 +285,21 @@ bool NetDissent::Start() {
     }
     scheduling_seconds_ =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - sched_start).count();
-    std::vector<BigInt> keys;
-    for (const auto& row : cascade.final_rows) {
-      keys.push_back(row[0].b);
+    keys = PseudonymKeyOrder(cascade.final_rows);
+  }
+  if (keys.size() != clients_.size()) {
+    return false;
+  }
+  for (auto& c : clients_) {
+    if (!c->logic->AssignSlot(keys)) {
+      return false;
     }
-    for (size_t i = 0; i < clients_.size(); ++i) {
-      auto it = std::find(keys.begin(), keys.end(), clients_[i]->logic->pseudonym().pub);
-      if (it == keys.end()) {
-        return false;
-      }
-      clients_[i]->logic->AssignSlot(static_cast<size_t>(it - keys.begin()), keys.size());
-    }
-    for (auto& s : servers_) {
-      s->logic->SetPseudonymKeys(keys);
-    }
-    pseudonym_keys_ = std::move(keys);
   }
   for (auto& s : servers_) {
+    s->logic->SetPseudonymKeys(keys);
     s->logic->BeginSlots(clients_.size());
   }
+  pseudonym_keys_ = std::move(keys);
   // Chaos layer: install the frame-level plan on the network and enact the
   // crash windows here (Crash::node names a *server index* — the network
   // cannot rebuild an engine; this harness can).
@@ -404,7 +334,6 @@ ServerEngine::Config NetDissent::ServerConfigFor(size_t j) const {
   cfg.pipeline_depth = std::max<size_t>(options_.pipeline_depth, 1);
   cfg.reliability = options_.reliability;
   cfg.abort_deadline_us = options_.abort_deadline;
-  cfg.abort_agreement = options_.abort_agreement;
   cfg.output_history = options_.output_history;
   for (size_t m : servers_[j]->attached_machines) {
     for (size_t k = 0; k < machines_[m].num_clients; ++k) {
@@ -468,8 +397,7 @@ void NetDissent::SubmitWithDelay(size_t client_index, Network::Frame frame, bool
     // Client think time before submitting (models app + OS). Blame replies
     // are reactive, so they get the uniform jitter, never the heavy-tailed
     // round-pacing dropout model.
-    delay = static_cast<SimTime>(jitter_.Below(
-        static_cast<uint64_t>(std::max<SimTime>(options_.client_jitter_max, 1))));
+    delay = static_cast<SimTime>(jitter_.Below(static_cast<uint64_t>(kClientJitterMax)));
   }
   sim_->Schedule(delay, [this, client_index, from, to, f = std::move(frame)] {
     if (!clients_[client_index]->online) {
@@ -497,24 +425,12 @@ void NetDissent::SendEnvelope(size_t server_index, const Envelope& env,
     case Peer::Kind::kClient:
       net_.Send(from, machines_[clients_[env.to.index]->machine].node, frame);
       return;
-    case Peer::Kind::kAttachedClients: {
-      const ServerNode& s = *servers_[env.to.index];
-      if (options_.shared_broadcast) {
-        // One frame per attached machine; co-located clients share it.
-        for (size_t m : s.attached_machines) {
-          net_.Send(from, machines_[m].node, frame);
-        }
-      } else {
-        // Pre-batching per-message path: one wire copy per client. The
-        // frames are byte-identical; only the wire cost differs.
-        for (size_t m : s.attached_machines) {
-          for (size_t k = 0; k < machines_[m].num_clients; ++k) {
-            net_.Send(from, machines_[m].node, frame);
-          }
-        }
+    case Peer::Kind::kAttachedClients:
+      // One frame per attached machine; co-located clients share it.
+      for (size_t m : servers_[env.to.index]->attached_machines) {
+        net_.Send(from, machines_[m].node, frame);
       }
       return;
-    }
   }
 }
 

@@ -14,11 +14,9 @@
 // 5,000 clients on ~100 hosts. A machine is one sim::Network node: its
 // clients share its NIC (uplink serialization) and its links. The engines'
 // single kAttachedClients Output envelope fans out as one ref-counted frame
-// per attached machine (`shared_broadcast`), parsed once per frame and
-// handed to every co-located client — per-round distribution cost scales
-// with machines, not clients. `shared_broadcast = false` reproduces the
-// per-client-frame path (one Output copy per client through the server NIC)
-// for apples-to-apples benchmarking of the per-message cost this replaces.
+// per attached machine, parsed once per frame and handed to every
+// co-located client — per-round distribution cost scales with machines, not
+// clients.
 //
 // Scheduling (the key shuffle) runs up front through the same cascade code
 // the in-process coordinator uses; `direct_scheduling` skips it (slot i =
@@ -62,11 +60,9 @@ class NetDissent {
     // participation (engine.h); the paper's static attached-share policy
     // when false.
     bool adaptive_window = true;
-    // Client think time before submitting each round (models app + OS).
-    SimTime client_jitter_max = 5 * kMillisecond;
     // Heavy-tailed per-round submission delay + dropout (PlanetLab, §5.1).
-    // When set, replaces the uniform jitter; a "never" draw skips that
-    // client's submission for the round entirely.
+    // When set, replaces the uniform 0-5 ms client think time; a "never"
+    // draw skips that client's submission for the round entirely.
     std::optional<PlanetLabDelayModel> submit_delay;
     // Concurrent in-flight rounds (1 = strictly sequential protocol).
     size_t pipeline_depth = 1;
@@ -76,9 +72,6 @@ class NetDissent {
     // this degenerates to the original one-node-per-client topology and the
     // original i % M attachment.
     size_t clients_per_machine = 1;
-    // One Output frame per attached machine (true) vs one per client
-    // (false, the pre-batching per-message path kept for comparison).
-    bool shared_broadcast = true;
     // Skip the verified key shuffle; assign slot i to client i.
     bool direct_scheduling = false;
     // Externally computed shuffle result (final pseudonym-key order):
@@ -105,15 +98,11 @@ class NetDissent {
     // missed (CatchUpRequest) and re-sends its in-flight submissions.
     // 0 disables (historical gap-tolerant ingest).
     SimTime resync_timeout = 0;
-    // Fleet-voted degradation: a round unfinished this long after opening
-    // is aborted by server vote instead of stalling the pipeline forever.
-    // 0 disables.
+    // Fleet-agreed degradation: a round unfinished this long after opening
+    // is retired by an AbortCommit certificate (signed AbortPrepare votes
+    // from every alive server; see ServerEngine::Config) instead of
+    // stalling the pipeline forever. 0 disables.
     SimTime abort_deadline = 0;
-    // Epoch-committed two-phase abort agreement (signed AbortPrepare votes,
-    // AbortCommit certificates, server catch-up/re-admission). False runs
-    // the legacy one-shot RoundAbort broadcast — the split-brain negative
-    // control. Only meaningful with abort_deadline > 0.
-    bool abort_agreement = true;
     // Signed RoundSummaries each server retains for catch-up service.
     size_t output_history = 64;
     // 64-bit FNV-1a trailer on every frame, verified and stripped on
@@ -181,7 +170,7 @@ class NetDissent {
   uint64_t retransmits() const;
   // Frames dropped because their FNV trailer failed verification.
   uint64_t checksum_drops() const { return checksum_drops_; }
-  // Fleet-voted round aborts (server 0's count).
+  // Certificate-retired round aborts (server 0's count).
   uint64_t rounds_aborted() const;
   // Server crash/restart cycles the harness has enacted.
   uint64_t server_restarts() const { return server_restarts_; }

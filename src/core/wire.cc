@@ -715,4 +715,50 @@ const char* WireTypeName(const WireMessage& msg) {
       msg);
 }
 
+std::optional<uint32_t> ClaimedClient(const WireMessage& msg) {
+  return std::visit(
+      [](const auto& m) -> std::optional<uint32_t> {
+        using T = std::decay_t<decltype(m)>;
+        if constexpr (std::is_same_v<T, wire::ClientSubmit> ||
+                      std::is_same_v<T, wire::AccusationSubmit> ||
+                      std::is_same_v<T, wire::BlameRebuttal> ||
+                      std::is_same_v<T, wire::CatchUpRequest>) {
+          return m.client_id;
+        } else if constexpr (std::is_same_v<T, wire::Reliable> || std::is_same_v<T, wire::Ack>) {
+          return m.from_id;
+        } else {
+          return std::nullopt;
+        }
+      },
+      msg);
+}
+
+std::pair<size_t, size_t> HostedRecipients(const WireMessage& msg, size_t first, size_t count) {
+  const std::optional<size_t> to = std::visit(
+      [](const auto& m) -> std::optional<size_t> {
+        using T = std::decay_t<decltype(m)>;
+        if constexpr (std::is_same_v<T, wire::BlameChallenge>) {
+          return m.client_id;
+        } else if constexpr (std::is_same_v<T, wire::Reliable> || std::is_same_v<T, wire::Ack>) {
+          return m.to_id;
+        } else {
+          return std::nullopt;
+        }
+      },
+      msg);
+  if (to.has_value()) {
+    return *to >= first && *to < first + count ? std::make_pair(*to, *to + 1)
+                                               : std::make_pair(first, first);
+  }
+  // RoundSummary is fanned out too: catch-up replies address one client, but
+  // a summary is certified public output — any co-hosted client behind on
+  // that round may ingest it, and the rest drop it via their round guard.
+  if (std::holds_alternative<wire::Output>(msg) || std::holds_alternative<wire::BlameStart>(msg) ||
+      std::holds_alternative<wire::BlameVerdict>(msg) ||
+      std::holds_alternative<wire::RoundSummary>(msg)) {
+    return {first, first + count};
+  }
+  return {first, first};
+}
+
 }  // namespace dissent

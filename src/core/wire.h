@@ -203,8 +203,8 @@ struct BlameVerdict {
 // duplicate, reorder, or corrupt frames and whose nodes crash mid-session.
 // They carry no DC-net semantics: Ack/Reliable implement per-directed-link
 // sequencing, CatchUpRequest/RoundSummary resynchronize a client that
-// missed an Output broadcast, VerdictShare closes the blame-verdict
-// agreement race, and RoundAbort votes a wedged round dead.
+// missed an Output broadcast, and VerdictShare closes the blame-verdict
+// agreement race.
 
 // Cumulative acknowledgement for a Reliable-wrapped frame. `seq` is the
 // highest sequence number below which every frame from the acked peer has
@@ -270,12 +270,12 @@ struct VerdictShare {
   Bytes signature;       // Schnorr over the canonical verdict context
 };
 
-// Server -> all other servers: vote to abort `round` (its window has been
-// open past the abort deadline with a peer server silent). A round aborts
-// only when every *reachable* server has voted, and an aborted round
-// advances the slot schedule with an all-zero cleartext on every node.
-// Legacy one-shot vote: retained (and byte-identical) when the two-phase
-// abort agreement below is disabled.
+// Retired unsigned one-shot abort vote (wire tag 20). No node sends it any
+// more and every engine drops it unread: an unsigned vote could decide
+// differently on the two sides of a partition, so a round aborts only on an
+// AbortCommit certificate (below). The codec still parses it, so the
+// WireMessage alternative list — and every signature that spells it out —
+// stays stable.
 struct RoundAbort {
   uint64_t round = 0;
   uint32_t server_id = 0;
@@ -283,14 +283,13 @@ struct RoundAbort {
 
 // --- epoch-committed abort agreement & server catch-up ---
 //
-// The two-phase replacement for RoundAbort voting. `epoch` is the number of
-// aborts the voter has already applied, which binds every vote to one abort
-// history: prepares from servers whose histories diverge can never be
-// combined into a certificate. Prepares are signed, commits are
-// certificates carrying every collected prepare signature, and both are
-// idempotently re-deliverable — a healing partition converges by replaying
-// certificates (and, for deeper lag, ServerCatchUpBatch) instead of
-// splitting the fleet's decision.
+// Two-phase abort voting. `epoch` is the number of aborts the voter has
+// already applied, which binds every vote to one abort history: prepares
+// from servers whose histories diverge can never be combined into a
+// certificate. Prepares are signed, commits are certificates carrying every
+// collected prepare signature, and both are idempotently re-deliverable — a
+// healing partition converges by replaying certificates (and, for deeper
+// lag, ServerCatchUpBatch) instead of splitting the fleet's decision.
 
 // Server -> all other servers: signed promise to abort `round` at abort
 // epoch `epoch` unless a full output certificate resolves it first. Signed
@@ -375,6 +374,24 @@ std::shared_ptr<const WireMessage> ParseWireShared(const Bytes& data);
 
 // Human-readable tag name, for logs and test diagnostics.
 const char* WireTypeName(const WireMessage& msg);
+
+// --- transport routing, shared by every transport that multiplexes many
+// clients behind one link (a sim machine node, a client-host connection) ---
+
+// The client a frame arriving on a client link claims to come from, or
+// nullopt for a frame clients never send. The transport accepts the claim
+// only inside the id range it authenticated for that link; a Reliable/Ack
+// claims its from_id, and the engine re-checks the inner frame's own claim
+// after unwrapping.
+std::optional<uint32_t> ClaimedClient(const WireMessage& msg);
+
+// The hosted clients, out of [first, first + count), that a server frame on
+// a client link is for, as a half-open id range. Unicast frames (a
+// BlameChallenge, a Reliable/Ack by its to_id) go to their addressee alone,
+// if it is hosted here; the certified broadcasts (Output, BlameStart,
+// BlameVerdict, RoundSummary) go to every hosted client; anything else
+// yields an empty range.
+std::pair<size_t, size_t> HostedRecipients(const WireMessage& msg, size_t first, size_t count);
 
 // Canonical bitmap rule shared by the codec and the engines: a bitmap over
 // `bits` entries must be exactly ceil(bits/8) bytes with no stray bits set

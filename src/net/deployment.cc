@@ -67,12 +67,7 @@ std::vector<BigInt> DistributedCascadeKeys(const DeployConfig& cfg, const GroupD
     }
     current = std::move(step.decrypted);
   }
-  std::vector<BigInt> keys;
-  keys.reserve(current.size());
-  for (const auto& row : current) {
-    keys.push_back(row[0].b);
-  }
-  return keys;
+  return PseudonymKeyOrder(current);
 }
 
 std::vector<Bytes> RunSimReference(const DeployConfig& cfg) {
@@ -96,16 +91,15 @@ std::vector<Bytes> RunSimReference(const DeployConfig& cfg) {
 
   Simulator sim;
   NetDissent::Options opt;
-  opt.window_fraction = cfg.window_fraction;
-  opt.window_multiplier = cfg.window_multiplier;
-  opt.hard_deadline = cfg.hard_deadline_us;
+  opt.window_fraction = kDeployWindowFraction;
+  opt.window_multiplier = kDeployWindowMultiplier;
+  opt.hard_deadline = kDeployHardDeadlineUs;
   opt.adaptive_window = false;
   opt.pipeline_depth = cfg.pipeline_depth;
   opt.clients_per_machine = cfg.clients_per_host;
-  opt.evidence_rounds = cfg.evidence_rounds;
-  opt.output_history = cfg.output_history;
+  opt.evidence_rounds = kDeployEvidenceRounds;
+  opt.output_history = kDeployOutputHistory;
   opt.abort_deadline = cfg.abort_deadline_us;
-  opt.abort_agreement = cfg.abort_agreement;
   opt.preset_pseudonym_keys = keys;
   NetDissent net(def, server_privs, client_privs, &sim, opt, cfg.seed);
   for (size_t i = 0; i < cfg.num_clients; ++i) {

@@ -40,6 +40,30 @@
 namespace dissent {
 namespace net {
 
+// Engine settings every deployment process uses; RunSimReference reads the
+// same constants, so the socket fleet and its byte-identity fixture cannot
+// drift apart.
+//
+// TCP-tuned reliability (see ROADMAP delivery-assumptions): the kernel
+// retransmits within a connection, so the mailbox's job here is purely
+// cross-connection — frames lost to a crashed/restarted peer. A short rto
+// speeds crash recovery; it cannot cause spurious traffic on a healthy link
+// because acks return in well under any plausible rto on localhost.
+inline constexpr ReliabilityConfig kDeployReliability{true, 300 * 1000ll, 4 * 1000000ll};
+// Client stall detector (CatchUpRequest cadence) — the recovery path for
+// Output broadcasts lost across a server restart.
+inline constexpr int64_t kDeployResyncTimeoutUs = 500 * 1000ll;
+// Submission window: full participation (fraction 1.0, adaptive off) is
+// required for byte-identity with the lossless sim reference — a window
+// that closes early on wall-clock jitter would change participation and
+// thus the cleartext.
+inline constexpr double kDeployWindowFraction = 1.0;
+inline constexpr double kDeployWindowMultiplier = 1.0;
+inline constexpr int64_t kDeployHardDeadlineUs = 120 * 1000000ll;
+// The round path retains no accusation evidence (blame needs none).
+inline constexpr size_t kDeployEvidenceRounds = 0;
+inline constexpr size_t kDeployOutputHistory = 256;
+
 struct DeployConfig {
   uint64_t seed = 1;
   size_t num_servers = 2;
@@ -52,37 +76,12 @@ struct DeployConfig {
   std::string host = "127.0.0.1";
   // Server j listens on base_port + j.
   uint16_t base_port = 29000;
-  // Fully verify the whole cascade on every server (each mix step is always
-  // verified; this adds the end-to-end re-verification). O(M*N) exps — on
-  // by default for small runs, off for the 100-process harness.
-  bool verify_cascade = true;
-  // TCP-tuned reliability (see ROADMAP delivery-assumptions): the kernel
-  // retransmits within a connection, so the mailbox's job here is purely
-  // cross-connection — frames lost to a crashed/restarted peer. A short rto
-  // speeds crash recovery; it cannot cause spurious traffic on a healthy
-  // link because acks return in well under any plausible rto on localhost.
-  ReliabilityConfig reliability{true, 300 * 1000ll, 4 * 1000000ll};
-  // Client stall detector (CatchUpRequest cadence) — the recovery path for
-  // Output broadcasts lost across a server restart.
-  int64_t resync_timeout_us = 500 * 1000ll;
-  // Submission window: full participation (fraction 1.0, adaptive off) is
-  // required for byte-identity with the lossless sim reference — a window
-  // that closes early on wall-clock jitter would change participation and
-  // thus the cleartext.
-  double window_fraction = 1.0;
-  double window_multiplier = 1.0;
-  int64_t hard_deadline_us = 120 * 1000000ll;
-  size_t evidence_rounds = 0;  // round path only; blame needs none retained
-  size_t output_history = 256;
-  // Abort agreement (PR 8): with a deadline, a round stuck past it is retired
-  // by an epoch-committed AbortCommit certificate (all alive-server prepares)
-  // and a server restored from a stale snapshot re-admits itself via the
+  // Abort agreement: with a deadline, a round stuck past it is retired by an
+  // epoch-committed AbortCommit certificate (all alive-server prepares) and
+  // a server restored from a stale snapshot re-admits itself via the
   // catch-up protocol. 0 keeps aborts off entirely — the byte-identity runs
-  // pin the frame stream against the PR 7 fixture with this disabled.
+  // pin the frame stream against the sim fixture with this disabled.
   int64_t abort_deadline_us = 0;
-  // False selects the legacy one-shot RoundAbort vote (split-brain negative
-  // control); only meaningful with a nonzero deadline.
-  bool abort_agreement = true;
   // Chaos harness (PR 8): when nonzero, every dial goes through the
   // fault-injecting TCP proxy (chaos-proxy binary) instead of straight to the
   // peer's listen port. Each link gets its own proxy port so the proxy can

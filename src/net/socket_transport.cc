@@ -301,7 +301,7 @@ ServerNode::ServerNode(EventLoop* loop, DeployConfig cfg, size_t index)
   logic_ = std::make_unique<DissentServer>(
       def_, index_, priv_, DeployNodeRng(cfg_, DeployRngKind::kServerLogic, index_),
       std::max<size_t>(cfg_.pipeline_depth, 1));
-  logic_->SetEvidenceRounds(cfg_.evidence_rounds);
+  logic_->SetEvidenceRounds(kDeployEvidenceRounds);
 }
 
 ServerNode::~ServerNode() {
@@ -661,21 +661,16 @@ void ServerNode::TryAdvanceCascade() {
     }
     return;  // waiting on an earlier server's step
   }
-  std::vector<BigInt> keys;
-  keys.reserve(cascade_.size());
-  for (const auto& row : cascade_) {
-    keys.push_back(row[0].b);
+  // Every step was verified as it applied; this re-verifies the whole
+  // cascade end to end before any slot is handed out.
+  ShuffleCascadeResult result;
+  result.final_rows = cascade_;
+  result.steps = verified_steps_;
+  if (!VerifyShuffleCascade(def_, submissions_, result)) {
+    std::fprintf(stderr, "server %zu: full cascade re-verification failed\n", index_);
+    return;
   }
-  if (cfg_.verify_cascade) {
-    ShuffleCascadeResult result;
-    result.final_rows = cascade_;
-    result.steps = verified_steps_;
-    if (!VerifyShuffleCascade(def_, submissions_, result)) {
-      std::fprintf(stderr, "server %zu: full cascade re-verification failed\n", index_);
-      return;
-    }
-  }
-  FinishScheduling(std::move(keys));
+  FinishScheduling(PseudonymKeyOrder(cascade_));
 }
 
 void ServerNode::FinishScheduling(std::vector<BigInt> keys) {
@@ -695,9 +690,7 @@ void ServerNode::FinishScheduling(std::vector<BigInt> keys) {
   }
   sched_keys_frame_ = Connection::Frame(SerializeNet(NetMessage{std::move(msg)}));
   keys_ready_ = true;
-  for (Connection* c : host_conns_) {
-    c->SendFramed(sched_keys_frame_);
-  }
+  SendToHosts(sched_keys_frame_);
   // Drop the scheduling scratch matrices; keep our own roster and mix step
   // so SendSchedStateTo can still replay them to a slow sibling that
   // reconnects before finishing its cascade.
@@ -709,16 +702,15 @@ void ServerNode::FinishScheduling(std::vector<BigInt> keys) {
 
 ServerEngine::Config ServerNode::EngineConfig() const {
   ServerEngine::Config ec;
-  ec.window_fraction = cfg_.window_fraction;
-  ec.window_multiplier = cfg_.window_multiplier;
-  ec.hard_deadline_us = cfg_.hard_deadline_us;
+  ec.window_fraction = kDeployWindowFraction;
+  ec.window_multiplier = kDeployWindowMultiplier;
+  ec.hard_deadline_us = kDeployHardDeadlineUs;
   ec.adaptive_window = false;
   ec.pipeline_depth = std::max<size_t>(cfg_.pipeline_depth, 1);
   ec.attached_clients = attached_;
-  ec.reliability = cfg_.reliability;
-  ec.output_history = cfg_.output_history;
+  ec.reliability = kDeployReliability;
+  ec.output_history = kDeployOutputHistory;
   ec.abort_deadline_us = cfg_.abort_deadline_us;
-  ec.abort_agreement = cfg_.abort_agreement;
   return ec;
 }
 
@@ -772,7 +764,7 @@ bool ServerNode::RestoreFromSnapshot(const Bytes& snapshot) {
   logic_ = std::make_unique<DissentServer>(def_, index_, priv_,
                                            SecureRng::FromLabel(0x52455354u ^ index_),
                                            std::max<size_t>(cfg_.pipeline_depth, 1));
-  logic_->SetEvidenceRounds(cfg_.evidence_rounds);
+  logic_->SetEvidenceRounds(kDeployEvidenceRounds);
   logic_->SetPseudonymKeys(keys);
   logic_->BeginSlots(cfg_.num_clients);
   pseudonym_keys_ = std::move(keys);
@@ -807,26 +799,12 @@ void ServerNode::OnWireMessage(Connection* conn, std::shared_ptr<const WireMessa
   } else {
     // Claimed client ids are authentic iff inside the connection's hello
     // range (NetDissent's machine-hosting check, per-connection).
-    uint32_t claimed;
-    if (const auto* submit = std::get_if<wire::ClientSubmit>(msg.get())) {
-      claimed = submit->client_id;
-    } else if (const auto* acc = std::get_if<wire::AccusationSubmit>(msg.get())) {
-      claimed = acc->client_id;
-    } else if (const auto* rebuttal = std::get_if<wire::BlameRebuttal>(msg.get())) {
-      claimed = rebuttal->client_id;
-    } else if (const auto* catch_up = std::get_if<wire::CatchUpRequest>(msg.get())) {
-      claimed = catch_up->client_id;
-    } else if (const auto* rel = std::get_if<wire::Reliable>(msg.get())) {
-      claimed = rel->from_id;
-    } else if (const auto* ack = std::get_if<wire::Ack>(msg.get())) {
-      claimed = ack->from_id;
-    } else {
+    const std::optional<uint32_t> claimed = ClaimedClient(*msg);
+    if (!claimed.has_value() || *claimed < conn->first_id ||
+        *claimed >= conn->first_id + conn->id_count) {
       return;
     }
-    if (claimed < conn->first_id || claimed >= conn->first_id + conn->id_count) {
-      return;
-    }
-    peer = ClientPeer(claimed);
+    peer = ClientPeer(*claimed);
   }
   Dispatch(engine_->HandleMessage(peer, *msg, loop_->NowUs()));
 }
@@ -858,9 +836,7 @@ void ServerNode::Dispatch(ServerEngine::Actions actions) {
       case Peer::Kind::kAttachedClients:
         // One frame per client-hosting connection; the hosts fan out
         // in-process, so distribution cost scales with processes.
-        for (Connection* c : host_conns_) {
-          c->SendFramed(cache_frame);
-        }
+        SendToHosts(cache_frame);
         break;
     }
   }
@@ -884,6 +860,17 @@ void ServerNode::Dispatch(ServerEngine::Actions actions) {
     if (on_target_rounds) {
       on_target_rounds();
     }
+  }
+}
+
+void ServerNode::SendToHosts(const std::shared_ptr<const Bytes>& framed) {
+  // Iterate a snapshot: a send to a host that has already reset fails at
+  // once, and Close -> DropConnection erases that host from host_conns_
+  // mid-loop. The dropped Connection stays alive in graveyard_ until the
+  // loop's next turn, so sending to it is a no-op.
+  const std::vector<Connection*> hosts(host_conns_.begin(), host_conns_.end());
+  for (Connection* c : hosts) {
+    c->SendFramed(framed);
   }
 }
 
@@ -947,8 +934,8 @@ ClientHostNode::ClientHostNode(EventLoop* loop, DeployConfig cfg, size_t host_in
     ec.upstream_server = static_cast<uint32_t>(upstream_);
     ec.pipeline_depth = depth;
     ec.auto_submit = true;
-    ec.reliability = cfg_.reliability;
-    ec.resync_timeout_us = cfg_.resync_timeout_us;
+    ec.reliability = kDeployReliability;
+    ec.resync_timeout_us = kDeployResyncTimeoutUs;
     engines_.push_back(std::make_unique<ClientEngine>(logic_.back().get(), def_, ec));
     // The scheduling submission draws its encryption randomness exactly
     // once, here — a reconnect must replay the identical row or the cascade
@@ -1024,31 +1011,9 @@ void ClientHostNode::OnFrame(Bytes payload) {
     return;
   }
   const Peer peer = ServerPeer(static_cast<uint32_t>(upstream_));
-  // Unicast frames carry their addressee; broadcasts fan out to every
-  // hosted client (mirrors NetDissent::DeliverToMachine).
-  uint64_t unicast_to = UINT64_MAX;
-  if (const auto* challenge = std::get_if<wire::BlameChallenge>(msg.get())) {
-    unicast_to = challenge->client_id;
-  } else if (const auto* rel = std::get_if<wire::Reliable>(msg.get())) {
-    unicast_to = rel->to_id;
-  } else if (const auto* ack = std::get_if<wire::Ack>(msg.get())) {
-    unicast_to = ack->to_id;
-  }
-  if (unicast_to != UINT64_MAX) {
-    if (unicast_to >= first_ && unicast_to < first_ + count_) {
-      const size_t local = static_cast<size_t>(unicast_to) - first_;
-      Dispatch(local, engines_[local]->HandleMessage(peer, *msg, loop_->NowUs()));
-    }
-    return;
-  }
-  if (!std::holds_alternative<wire::Output>(*msg) &&
-      !std::holds_alternative<wire::BlameStart>(*msg) &&
-      !std::holds_alternative<wire::BlameVerdict>(*msg) &&
-      !std::holds_alternative<wire::RoundSummary>(*msg)) {
-    return;
-  }
-  for (size_t local = 0; local < engines_.size(); ++local) {
-    Dispatch(local, engines_[local]->HandleMessage(peer, *msg, loop_->NowUs()));
+  const auto [begin, end] = HostedRecipients(*msg, first_, count_);
+  for (size_t i = begin; i < end; ++i) {
+    Dispatch(i - first_, engines_[i - first_]->HandleMessage(peer, *msg, loop_->NowUs()));
   }
 }
 
@@ -1065,13 +1030,11 @@ void ClientHostNode::HandleSchedKeys(const SchedKeys& msg) {
     }
     keys.push_back(std::move(*k));
   }
-  for (size_t local = 0; local < logic_.size(); ++local) {
-    auto it = std::find(keys.begin(), keys.end(), logic_[local]->pseudonym().pub);
-    if (it == keys.end()) {
+  for (auto& logic : logic_) {
+    if (!logic->AssignSlot(keys)) {
       std::fprintf(stderr, "client host %zu: own pseudonym missing from key order\n", host_);
       return;
     }
-    logic_[local]->AssignSlot(static_cast<size_t>(it - keys.begin()), keys.size());
   }
   slots_assigned_ = true;
   const int64_t now = loop_->NowUs();

@@ -180,6 +180,8 @@ class ServerNode {
   void FinishScheduling(std::vector<BigInt> keys);
   void SendToSibling(size_t j, const Bytes& payload);
   void BroadcastToSiblings(const Bytes& payload);
+  // One framed buffer to every identified client-host connection.
+  void SendToHosts(const std::shared_ptr<const Bytes>& framed);
   void SendSchedStateTo(size_t j);
 
   // Engine plumbing.
@@ -216,7 +218,7 @@ class ServerNode {
   std::vector<std::optional<Bytes>> mix_steps_;  // serialized, per server
   CiphertextMatrix submissions_;   // merged, client-id order
   CiphertextMatrix cascade_;       // current matrix as steps apply
-  std::vector<MixStep> verified_steps_;  // kept for verify_cascade
+  std::vector<MixStep> verified_steps_;  // for the end-to-end re-verification
   size_t steps_applied_ = 0;
   bool own_roster_sent_ = false;
   bool own_step_sent_ = false;

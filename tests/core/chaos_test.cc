@@ -1,6 +1,6 @@
 // Hostile-network survival (PR 6): the engines must come through loss,
 // duplication, reordering, corruption, partitions, and server crash/restart
-// with byte-identical cleartexts — and degrade gracefully (fleet-voted
+// with byte-identical cleartexts — and degrade gracefully (certificate-agreed
 // aborts, inconclusive blame) when recovery is impossible.
 #include <gtest/gtest.h>
 
@@ -365,36 +365,47 @@ TEST(ChaosTest, PartitionAtAbortBoundaryConvergesOnSameDecision) {
       << "pipeline never resumed after the partition healed";
 }
 
-TEST(ChaosTest, LegacyOneShotAbortSplitsAcrossPartition) {
-  // Negative control pinning the pre-certificate failure mode: with the
-  // two-phase agreement disabled the identical partition leaves the minority
-  // server permanently behind the majority's abort history — votes it needed
-  // were acked-then-dropped or arrive gated on its own slow deadlines, so the
-  // fleet never realigns and no round completes after the heal.
-  constexpr uint64_t kSeed = 9110;
+TEST(ChaosTest, RoundAbortFrameHasNoEffect) {
+  // wire::RoundAbort is the retired unsigned one-shot vote: the codec still
+  // parses it, but an unsigned vote can decide differently on the two sides
+  // of a partition, so no engine may act on one. With abort deadlines armed,
+  // every server is handed a well-formed vote from every sibling for the
+  // round it is waiting to finish, once per simulated second: nothing comes
+  // back, nothing aborts, and the round stream is byte-identical to a run
+  // that never saw the votes.
+  constexpr uint64_t kSeed = 9113;
+  constexpr uint32_t kServers = 3;
   auto opts = RobustOptions();
   opts.abort_deadline = 5 * kSecond;
-  opts.abort_agreement = false;
-  opts.fault_plan = sim::FaultPlan{};
-  opts.fault_plan->seed = kSeed;
-  opts.fault_plan->partitions.push_back(
-      {.a_lo = 2, .a_hi = 2, .b_lo = 0, .b_hi = 1, .from = 10 * kSecond, .until = 22 * kSecond});
-  auto w = MakeNetWorld(3, 12, kSeed, opts);
-  ASSERT_TRUE(w->net->Start());
-  w->sim.RunUntil(22 * kSecond);
-  const uint64_t completed_at_heal = w->net->rounds_completed();
-  w->sim.RunUntil(70 * kSecond);
-  // The majority pair stays self-consistent (they exchange votes directly)...
-  const uint64_t a0 = w->net->server_engine(0).rounds_aborted();
-  const uint64_t a1 = w->net->server_engine(1).rounds_aborted();
-  const uint64_t a2 = w->net->server_engine(2).rounds_aborted();
-  EXPECT_LE(a0 > a1 ? a0 - a1 : a1 - a0, 1u);
-  // ...but the minority's abort history never catches the majority's: the
-  // split verdict the certificate path exists to prevent.
-  EXPECT_LT(a2 + 1, a0) << "legacy path unexpectedly converged";
-  // And with the fleet permanently out of alignment, certification is dead.
-  EXPECT_LE(w->net->rounds_completed(), completed_at_heal + 1)
-      << "legacy path unexpectedly resumed completing rounds";
+  auto clean = MakeNetWorld(kServers, 12, kSeed, opts);
+  ASSERT_TRUE(clean->net->Start());
+  clean->sim.RunUntil(30 * kSecond);
+
+  auto voted = MakeNetWorld(kServers, 12, kSeed, opts);
+  ASSERT_TRUE(voted->net->Start());
+  for (SimTime t = kSecond; t <= 30 * kSecond; t += kSecond) {
+    voted->sim.RunUntil(t);
+    for (uint32_t j = 0; j < kServers; ++j) {
+      ServerEngine& engine = voted->net->server_engine(j);
+      const uint64_t frontier = engine.rounds_completed() + engine.rounds_aborted() + 1;
+      for (uint32_t k = 0; k < kServers; ++k) {
+        if (k == j) {
+          continue;
+        }
+        auto a = engine.HandleMessage(ServerPeer(k), wire::RoundAbort{frontier, k},
+                                      voted->sim.Now());
+        EXPECT_TRUE(a.out.empty()) << "server " << j << " answered a vote for round "
+                                   << frontier;
+        EXPECT_TRUE(a.done.empty()) << "server " << j << " resolved round " << frontier
+                                    << " on a vote";
+      }
+    }
+  }
+  for (uint32_t j = 0; j < kServers; ++j) {
+    EXPECT_EQ(voted->net->server_engine(j).rounds_aborted(), 0u) << "server " << j;
+  }
+  ASSERT_GT(clean->net->rounds_completed(), 10u);
+  EXPECT_EQ(voted->net->round_cleartexts(), clean->net->round_cleartexts());
 }
 
 TEST(ChaosTest, StaleSnapshotServerRejoinsViaCatchUp) {
@@ -435,35 +446,6 @@ TEST(ChaosTest, StaleSnapshotServerRejoinsViaCatchUp) {
   // cleartext, so post-rejoin byte identity is certified, not assumed.
   EXPECT_GT(w->net->rounds_completed(), completed_at_restore + 3)
       << "fleet never resumed certifying after the restart";
-}
-
-TEST(ChaosTest, LegacyStaleSnapshotRestartCannotRejoin) {
-  // Negative control pinning the pre-catch-up failure mode: without the
-  // agreement/catch-up machinery, the abort votes the restored server needs
-  // were consumed while it was down (acked by the mailbox, dropped outside
-  // its window on redelivery) — it wedges behind the fleet, which keeps
-  // voting aborts forever and never certifies another round.
-  constexpr uint64_t kSeed = 9112;
-  auto opts = RobustOptions();
-  opts.abort_deadline = 5 * kSecond;
-  opts.abort_agreement = false;
-  opts.output_history = 64;
-  opts.fault_plan = sim::FaultPlan{};
-  opts.fault_plan->seed = kSeed;
-  opts.fault_plan->crashes.push_back(
-      {.node = 2, .down_at = 10 * kSecond, .up_at = 35 * kSecond});
-  auto w = MakeNetWorld(3, 12, kSeed, opts);
-  ASSERT_TRUE(w->net->Start());
-  w->sim.RunUntil(36 * kSecond);
-  const uint64_t completed_at_restore = w->net->rounds_completed();
-  w->sim.RunUntil(75 * kSecond);
-  EXPECT_EQ(w->net->server_restarts(), 1u);
-  // The restored server's abort history stays strictly behind the fleet's...
-  EXPECT_LT(w->net->server_engine(2).rounds_aborted() + 1,
-            w->net->server_engine(0).rounds_aborted())
-      << "legacy restart unexpectedly rejoined";
-  // ...and no round ever completes again.
-  EXPECT_LE(w->net->rounds_completed(), completed_at_restore + 1);
 }
 
 TEST(ChaosTest, ServerSnapshotRoundTripsInFlightState) {

@@ -1,6 +1,6 @@
 // Paper-scale round engine: 1,000-client transport equivalence, the
-// machine-multiplexed topology (§5.2), shared-payload vs per-client-frame
-// broadcast, and the adaptive submission window under a churn ramp.
+// machine-multiplexed topology (§5.2), and the adaptive submission window
+// under a churn ramp.
 #include <gtest/gtest.h>
 
 #include "src/core/coordinator.h"
@@ -109,40 +109,6 @@ TEST(EngineScaleTest, MachineMultiplexedTopologyPreservesCleartexts) {
     found |= payload == BytesOf("machines are transparent");
   }
   EXPECT_TRUE(found);
-}
-
-TEST(EngineScaleTest, SharedBroadcastMatchesPerClientFramesAtLowerWireCost) {
-  // Same protocol bytes per round either way; the shared-payload path just
-  // stops paying one Output copy per client on the wire.
-  constexpr uint64_t kSeed = 9003;
-  NetDissent::Options shared;
-  shared.clients_per_machine = 4;
-  auto a = MakeNetWorld(2, 16, kSeed, shared);
-  ASSERT_TRUE(a->net->Start());
-  a->sim.RunUntil(10 * kSecond);
-
-  NetDissent::Options legacy = shared;
-  legacy.shared_broadcast = false;
-  auto b = MakeNetWorld(2, 16, kSeed, legacy);
-  ASSERT_TRUE(b->net->Start());
-  b->sim.RunUntil(10 * kSecond);
-
-  ASSERT_GT(a->net->rounds_completed(), 4u);
-  ASSERT_GT(b->net->rounds_completed(), 4u);
-  size_t common =
-      std::min(a->net->round_cleartexts().size(), b->net->round_cleartexts().size());
-  ASSERT_GT(common, 3u);
-  for (size_t r = 0; r < common; ++r) {
-    EXPECT_EQ(a->net->round_cleartexts()[r], b->net->round_cleartexts()[r]);
-  }
-  // 16 clients on 4 machines: the legacy path sends 4x the Output frames.
-  double a_bytes_per_round =
-      static_cast<double>(a->net->network().bytes_sent()) /
-      static_cast<double>(a->net->rounds_completed());
-  double b_bytes_per_round =
-      static_cast<double>(b->net->network().bytes_sent()) /
-      static_cast<double>(b->net->rounds_completed());
-  EXPECT_LT(a_bytes_per_round, b_bytes_per_round);
 }
 
 TEST(EngineScaleTest, ThousandClientBlameExpelsDisruptorWithoutStallingPipeline) {

@@ -159,7 +159,7 @@ TEST(FuzzTest, WireMessageParser) {
       wire::RoundSummary{8, true, {}, {}, 9},
       wire::VerdictShare{7, 1, 6, wire::BlameVerdict::kClientExpelled, 9, Bytes(72, 0x31)},
       wire::RoundAbort{7, 1},
-      // PR 8 abort-agreement / server-catch-up frames.
+      // PR 8 abort agreement / server catch-up frames.
       wire::AbortPrepare{7, 2, 1, Bytes(72, 0x5e)},
       wire::AbortCommit{7, 2, {0, 2}, {Bytes(72, 0x5f), Bytes(72, 0x60)}},
       wire::ServerCatchUpRequest{6, 1},

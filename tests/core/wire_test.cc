@@ -287,5 +287,56 @@ TEST(WireTest, DistinctTagsPerType) {
   EXPECT_EQ(tags.size(), all.size());
 }
 
+TEST(WireTest, RoutingCoversEveryAlternative) {
+  // The two per-frame routing decisions every client-multiplexing transport
+  // shares, for every WireMessage alternative: which client a frame on a
+  // client link claims to be, and which of the clients hosted behind one
+  // link (ids 4..6 here) a server frame reaches.
+  constexpr size_t kFirst = 4, kCount = 3;
+  const std::pair<size_t, size_t> none{kFirst, kFirst};
+  const std::pair<size_t, size_t> all{kFirst, kFirst + kCount};
+  struct Case {
+    WireMessage msg;
+    std::optional<uint32_t> claimed;
+    std::pair<size_t, size_t> recipients;
+  };
+  const std::vector<Case> cases = {
+      {wire::ClientSubmit{7, 5, {}}, 5, none},
+      {wire::Inventory{}, std::nullopt, none},
+      {wire::Commit{}, std::nullopt, none},
+      {wire::ServerCiphertext{}, std::nullopt, none},
+      {wire::SignatureShare{}, std::nullopt, none},
+      {wire::Output{}, std::nullopt, all},
+      {wire::BlameStart{}, std::nullopt, all},
+      {wire::AccusationSubmit{7, 6, {}, {}}, 6, none},
+      {wire::BlameRoster{}, std::nullopt, none},
+      {wire::BlameMix{}, std::nullopt, none},
+      {wire::TraceEvidence{}, std::nullopt, none},
+      {wire::BlameChallenge{7, 6, 99, 5, {}}, std::nullopt, {5, 6}},
+      {wire::BlameRebuttal{7, 9, {}, {}}, 9, none},
+      {wire::BlameVerdict{}, std::nullopt, all},
+      {wire::Ack{1, 3, 6, {}}, 3, {6, 7}},
+      {wire::Reliable{1, 2, 4, {}}, 2, {4, 5}},
+      {wire::CatchUpRequest{0, 4}, 4, none},
+      {wire::RoundSummary{}, std::nullopt, all},
+      {wire::VerdictShare{}, std::nullopt, none},
+      {wire::RoundAbort{7, 1}, std::nullopt, none},
+      {wire::AbortPrepare{}, std::nullopt, none},
+      {wire::AbortCommit{}, std::nullopt, none},
+      {wire::ServerCatchUpRequest{}, std::nullopt, none},
+      {wire::ServerCatchUpBatch{}, std::nullopt, none},
+      // Unicast addressed to a client hosted behind another link.
+      {wire::BlameChallenge{7, 6, 99, 7, {}}, std::nullopt, none},
+      {wire::Reliable{1, 2, 3, {}}, 2, none},
+  };
+  std::set<size_t> seen;
+  for (const Case& c : cases) {
+    seen.insert(c.msg.index());
+    EXPECT_EQ(ClaimedClient(c.msg), c.claimed) << WireTypeName(c.msg);
+    EXPECT_EQ(HostedRecipients(c.msg, kFirst, kCount), c.recipients) << WireTypeName(c.msg);
+  }
+  EXPECT_EQ(seen.size(), std::variant_size_v<WireMessage>);
+}
+
 }  // namespace
 }  // namespace dissent

@@ -113,6 +113,26 @@ std::vector<std::string> ShapeFlags(const DeployConfig& cfg) {
           u(cfg.base_port)};
 }
 
+TEST(MultiProcess, ZeroShapeFlagsExitTwoInsteadOfCrashing) {
+  // A zero --servers or --clients-per-host (non-numeric text parses to 0)
+  // would reach an integer division by zero; both binaries must reject the
+  // shape up front with status 2, not die of a signal.
+  const std::string dir = SelfDir();
+  const std::string dissentd = dir + "/dissentd";
+  const std::string client = dir + "/dissent-client";
+  if (!Exists(dissentd) || !Exists(client)) {
+    GTEST_SKIP() << "deployment binaries not built next to test";
+  }
+  for (const char* flag : {"--servers", "--clients-per-host"}) {
+    for (const char* value : {"0", "none"}) {
+      EXPECT_EQ(WaitFor(Spawn({dissentd, "--index", "0", flag, value}), 10000), 2)
+          << "dissentd " << flag << " " << value;
+      EXPECT_EQ(WaitFor(Spawn({client, "--host-index", "0", flag, value}), 10000), 2)
+          << "dissent-client " << flag << " " << value;
+    }
+  }
+}
+
 TEST(MultiProcess, FiveServersSurviveRestartByteIdentical) {
   const std::string dir = SelfDir();
   const std::string dissentd = dir + "/dissentd";

@@ -3,8 +3,14 @@
 // and the simulated-network NetDissent reference — all three drive the same
 // sans-I/O engines, so any divergence is a transport bug by construction.
 // Everything here runs single-process on one EventLoop over loopback.
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -219,6 +225,102 @@ TEST(SocketTransport, RejectsHelloUnderWrongSecret) {
   });
   EXPECT_TRUE(loop.RunUntil([&] { return closed; }, 10 * 1000000ll));
   EXPECT_FALSE(server.session_started());
+}
+
+// A blocking loopback socket to server 0, speaking the client-host side of
+// the framed hello/scheduling protocol by hand.
+int DialServer(const DeployConfig& cfg) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(cfg.server_port(0));
+  inet_pton(AF_INET, cfg.host.c_str(), &addr.sin_addr);
+  EXPECT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  return fd;
+}
+
+void SendNetFrame(int fd, const NetMessage& msg) {
+  const Bytes framed = EncodeFrame(SerializeNet(msg));
+  EXPECT_EQ(send(fd, framed.data(), framed.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(framed.size()));
+}
+
+// SchedKeys frames waiting on a raw host socket.
+size_t CountSchedKeys(int fd) {
+  FrameDecoder decoder;
+  uint8_t buf[4096];
+  ssize_t n;
+  while ((n = recv(fd, buf, sizeof(buf), MSG_DONTWAIT)) > 0) {
+    EXPECT_TRUE(decoder.Feed(buf, static_cast<size_t>(n)));
+  }
+  size_t count = 0;
+  while (auto frame = decoder.Next()) {
+    auto msg = IsNetFrame(*frame) ? ParseNet(*frame) : std::nullopt;
+    count += msg.has_value() && std::holds_alternative<SchedKeys>(*msg) ? 1 : 0;
+  }
+  return count;
+}
+
+// Client hosts that reset while the server is broadcasting to every host
+// must not disturb the broadcast: a send to a reset host fails at once and
+// drops that connection mid-loop. Two of three hosts submit their
+// scheduling rows and reset; the survivor's row completes the cascade, so
+// the SchedKeys broadcast that follows meets both dead connections. The
+// survivor must get its keys exactly once, whatever its place in the
+// broadcast order, so each host takes a turn as the survivor.
+TEST(SocketTransport, HostResetsDuringBroadcastAreSurvived) {
+  constexpr uint32_t kHosts = 3;
+  for (uint32_t survivor = 0; survivor < kHosts; ++survivor) {
+    SCOPED_TRACE("survivor host " + std::to_string(survivor));
+    DeployConfig cfg;
+    cfg.seed = 25;
+    cfg.num_servers = 1;
+    cfg.num_clients = kHosts;
+    cfg.clients_per_host = 1;
+    cfg.rounds = 1;
+    cfg.base_port = static_cast<uint16_t>(31240 + survivor);
+
+    std::vector<BigInt> server_privs, client_privs;
+    GroupDef def = BuildDeployGroup(cfg, &server_privs, &client_privs);
+    const Bytes secret = SessionSecret(cfg.seed, def.Id());
+    auto sched_row = [&](uint32_t i) {
+      DissentClient c(def, i, client_privs[i], DeployNodeRng(cfg, DeployRngKind::kClientLogic, i));
+      SecureRng rng = DeployNodeRng(cfg, DeployRngKind::kClientSched, i);
+      return SchedSubmit{
+          i, SerializeCiphertextRow(*def.group, EncryptPseudonymKey(def, c.pseudonym().pub, rng))};
+    };
+    auto pump = [](EventLoop& loop) { loop.RunUntil([] { return false; }, 200 * 1000); };
+
+    EventLoop loop;
+    ServerNode server(&loop, cfg, 0);
+    ASSERT_TRUE(server.Listen());
+    server.Start();
+
+    // Host h hosts client h; the survivor holds its row back.
+    int fd[kHosts];
+    for (uint32_t h = 0; h < kHosts; ++h) {
+      fd[h] = DialServer(cfg);
+      SendNetFrame(fd[h], MakeHello(secret, Hello::kClientHost, h, 1, h + 1));
+      if (h != survivor) {
+        SendNetFrame(fd[h], sched_row(h));
+      }
+      pump(loop);
+    }
+    ASSERT_FALSE(server.session_started());
+
+    SendNetFrame(fd[survivor], sched_row(survivor));
+    const linger rst{1, 0};
+    for (uint32_t h = 0; h < kHosts; ++h) {
+      if (h != survivor) {
+        ASSERT_EQ(setsockopt(fd[h], SOL_SOCKET, SO_LINGER, &rst, sizeof(rst)), 0);
+        close(fd[h]);
+      }
+    }
+    EXPECT_TRUE(loop.RunUntil([&] { return server.session_started(); }, 30 * 1000000ll));
+    pump(loop);
+    EXPECT_EQ(CountSchedKeys(fd[survivor]), 1u);
+    close(fd[survivor]);
+  }
 }
 
 }  // namespace
