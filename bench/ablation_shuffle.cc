@@ -8,7 +8,6 @@
 
 #include "src/core/group_def.h"
 #include "src/core/key_shuffle.h"
-#include "src/crypto/multiexp.h"
 #include "src/crypto/schnorr.h"
 
 namespace dissent {
@@ -71,24 +70,6 @@ void Run() {
     std::printf("%8zu | %12.3f %12.3f | %12.3f %12.3f | %6.1fx\n", k, key.prove_sec,
                 key.verify_sec, msg.prove_sec, msg.verify_sec,
                 (msg.prove_sec + msg.verify_sec) / (key.prove_sec + key.verify_sec));
-  }
-
-  std::printf("\n-- multi-exp engine vs pre-PR generic exponentiation (key shuffle) --\n");
-  std::printf("%8s | %12s %12s | %12s %12s | %7s\n", "clients", "eng prove", "eng verify",
-              "ref prove", "ref verify", "speedup");
-  for (size_t k : {16, 64, 256}) {
-    Cost eng, ref;
-    {
-      ScopedCryptoFastPath scoped(true);
-      eng = MeasureCascade(GroupId::kTesting256, k, kServers, 0);
-    }
-    {
-      ScopedCryptoFastPath scoped(false);
-      ref = MeasureCascade(GroupId::kTesting256, k, kServers, 0);
-    }
-    std::printf("%8zu | %12.3f %12.3f | %12.3f %12.3f | %6.1fx\n", k, eng.prove_sec,
-                eng.verify_sec, ref.prove_sec, ref.verify_sec,
-                (ref.prove_sec + ref.verify_sec) / (eng.prove_sec + eng.verify_sec));
   }
 
   std::printf("\n-- group size effect (key shuffle, 32 clients) --\n");

@@ -3,9 +3,11 @@
 //
 // BM_KeyShuffleCascade is the PR 5 acceptance benchmark: the full verified
 // key-shuffle cascade (prove + decrypt + verify across a 5-server mix) at up
-// to 1,000 clients, on the multi-exponentiation engine (arg 1 = 1) vs the
-// pre-PR generic Montgomery::Exp path (arg 1 = 0). CI guards engine >= 4x
-// reference on (prove + verify) at 1,000 clients.
+// to 1,000 clients on the multi-exponentiation engine. CI guards (prove +
+// verify) at 1,000 clients against 1.25x the committed BENCH_dcnet.json
+// baseline. The trailing /1 in its names, and in BM_GExpFixedBase's and
+// BM_SchnorrMultiVerify's, is the engine arm's historical argument, kept so
+// the jq selectors and the BENCH_*.json history keep matching.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -79,16 +81,16 @@ void BM_ModExp(benchmark::State& state) {
 BENCHMARK(BM_ModExp)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);
 
 void BM_GExpFixedBase(benchmark::State& state) {
-  // Fixed-base comb (engine) vs generic ladder (reference) for g^e.
+  // g^e on the generator's fixed-base comb (BM_ModExp/256 is the generic
+  // ladder at the same size).
   auto g = Group::Named(GroupId::kTesting256);
   SecureRng rng = SecureRng::FromLabel(21);
   BigInt e = g->RandomScalar(rng);
-  ScopedCryptoFastPath scoped(state.range(0) == 1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(g->GExp(e));
   }
 }
-BENCHMARK(BM_GExpFixedBase)->Arg(0)->Arg(1);
+BENCHMARK(BM_GExpFixedBase)->Arg(1);
 
 void BM_ExpSecretConstTime(benchmark::State& state) {
   // Constant-time-lookup window exponentiation (secret-exponent path).
@@ -103,8 +105,8 @@ void BM_ExpSecretConstTime(benchmark::State& state) {
 BENCHMARK(BM_ExpSecretConstTime);
 
 void BM_MultiExp(benchmark::State& state) {
-  // prod b_i^{e_i} over n bases: engine (Straus/Pippenger, arg 1 = 1) vs the
-  // pre-PR shape (n independent ladders + products, arg 1 = 0).
+  // prod b_i^{e_i} over n bases: engine (Straus/Pippenger, arg 1 = 1) vs
+  // n independent ladders + products (arg 1 = 0).
   auto g = Group::Named(GroupId::kTesting256);
   SecureRng rng = SecureRng::FromLabel(23);
   const size_t n = static_cast<size_t>(state.range(0));
@@ -137,10 +139,8 @@ BENCHMARK(BM_MultiExp)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_KeyShuffleCascade(benchmark::State& state) {
-  // Full §3.10 cascade at paper scale: args {clients, engine?}.
+  // Full §3.10 cascade at paper scale: args {clients, 1}.
   const size_t clients = static_cast<size_t>(state.range(0));
-  const bool engine = state.range(1) == 1;
-  ScopedCryptoFastPath scoped(engine);
   SecureRng rng = SecureRng::FromLabel(31000 + clients);
   std::vector<BigInt> server_privs, client_privs;
   GroupDef def = MakeTestGroup(Group::Named(GroupId::kTesting256), 5, clients, rng,
@@ -173,9 +173,7 @@ void BM_KeyShuffleCascade(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KeyShuffleCascade)
-    ->Args({64, 0})
     ->Args({64, 1})
-    ->Args({1000, 0})
     ->Args({1000, 1})
     ->Iterations(1)
     ->Unit(benchmark::kSecond)
@@ -194,12 +192,11 @@ void BM_SchnorrMultiVerify(benchmark::State& state) {
     pubs[i] = kp.pub;
     sigs[i] = SchnorrSign(*g, kp.priv, msg, rng);
   }
-  ScopedCryptoFastPath scoped(state.range(1) == 1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(SchnorrMultiVerify(*g, pubs, msg, sigs));
   }
 }
-BENCHMARK(BM_SchnorrMultiVerify)->Args({5, 0})->Args({5, 1})->Args({32, 0})->Args({32, 1});
+BENCHMARK(BM_SchnorrMultiVerify)->Args({5, 1})->Args({32, 1});
 
 void BM_SchnorrSign(benchmark::State& state) {
   auto g = Group::Named(GroupId::kTesting256);

@@ -79,9 +79,8 @@ jq -s --arg flavor "$flavor" \
 
 echo "wrote $out ($(jq '.benchmarks | length' "$out") benchmarks, $flavor)"
 
-casc_ref="$(jq '[.benchmarks[] | select(.name | contains("KeyShuffleCascade/1000/0")) | .total_sec] | first' "$out")"
 casc_eng="$(jq '[.benchmarks[] | select(.name | contains("KeyShuffleCascade/1000/1")) | .total_sec] | first' "$out")"
-echo "  key-shuffle cascade @1000 clients: engine ${casc_eng}s vs reference ${casc_ref}s"
+echo "  key-shuffle cascade @1000 clients: ${casc_eng}s"
 
 "$build_dir/micro_protocol" --benchmark_format=json \
   --benchmark_out="$tmp_protocol" --benchmark_out_format=json

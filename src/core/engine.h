@@ -35,7 +35,7 @@
 //     client-hosting machine, which hands it to every hosted client: the
 //     frame bytes are identical for every recipient by construction.
 //
-// Crypto fast-path (Elem/MultiExp) rules — the engines' proof work (blame
+// Crypto (Elem/MultiExp) rules — the engines' proof work (blame
 // mix cascade, output certificates) rides the multi-exponentiation engine
 // in crypto/multiexp.h; the contract mirrors the ownership rules above:
 //   * Group::Elem carries Montgomery-form limbs. Convert with
@@ -51,9 +51,7 @@
 //   * Determinism under parallelism: provers draw all randomness serially,
 //     then fan pure exponentiation across ParallelFor workers — protocol
 //     bytes are independent of thread count, so transport byte-identity
-//     tests hold at any parallelism level. ScopedCryptoFastPath(false)
-//     restores the pre-PR serial/generic behaviour for benches and
-//     equivalence tests.
+//     tests hold at any parallelism level.
 //
 // Pipelining: a ServerEngine keeps a window of `pipeline_depth` concurrent
 // in-flight rounds, with all gathering state held in a ring of

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cassert>
 
-#include "src/crypto/multiexp.h"
 #include "src/util/parallel.h"
 #include "src/util/serialize.h"
 
@@ -30,27 +29,11 @@ MixStep KeyShuffleMixStep(const GroupDef& def, size_t server_index, const BigInt
   const size_t rows = step.shuffled.size();
   step.decrypted.resize(rows);
   step.decrypt_proofs.resize(rows);
-  if (!CryptoFastPathEnabled()) {
-    for (size_t i = 0; i < rows; ++i) {
-      step.decrypted[i].resize(step.shuffled[i].size());
-      step.decrypt_proofs[i].resize(step.shuffled[i].size());
-      for (size_t l = 0; l < step.shuffled[i].size(); ++l) {
-        const ElGamalCiphertext& ct = step.shuffled[i][l];
-        ElGamalCiphertext peeled = ElGamalPartialDecrypt(g, server_priv, ct);
-        // ratio = b / b' = a^{x_j}; prove log_g(h_j) == log_a(ratio).
-        BigInt ratio = g.MulElems(ct.b, g.InvElem(peeled.b));
-        step.decrypt_proofs[i][l] = DleqProve(g, g.g(), def.server_pubs[server_index], ct.a,
-                                              ratio, server_priv, rng);
-        step.decrypted[i][l] = peeled;
-      }
-    }
-    return step;
-  }
-  // Fast path: the per-ciphertext decrypt layers are independent, so draw
-  // the DLEQ nonces serially (same row-major rng stream as the reference
-  // loop) and fan the exponentiations across workers; the N per-cell modular
-  // inverses collapse into one batch inversion. Output is bit-identical to
-  // the serial reference.
+  // Each cell peels one layer, b' = b / a^{x_j}, and proves
+  // log_g(h_j) == log_a(b / b'). The cells are independent, so draw the DLEQ
+  // nonces serially (row-major) and fan the exponentiations across workers;
+  // the N per-cell modular inverses collapse into one batch inversion.
+  // Output is bit-identical for any worker count.
   std::vector<std::vector<BigInt>> nonces(rows);
   for (size_t i = 0; i < rows; ++i) {
     nonces[i].resize(step.shuffled[i].size());
@@ -115,26 +98,9 @@ bool VerifyMixStep(const GroupDef& def, size_t server_index, const CiphertextMat
       return false;
     }
   }
-  if (!CryptoFastPathEnabled()) {
-    for (size_t i = 0; i < step.shuffled.size(); ++i) {
-      for (size_t l = 0; l < step.shuffled[i].size(); ++l) {
-        const ElGamalCiphertext& before = step.shuffled[i][l];
-        const ElGamalCiphertext& after = step.decrypted[i][l];
-        if (after.a != before.a || !g.IsElement(after.b)) {
-          return false;
-        }
-        BigInt ratio = g.MulElems(before.b, g.InvElem(after.b));
-        if (!DleqVerify(g, g.g(), def.server_pubs[server_index], before.a, ratio,
-                        step.decrypt_proofs[i][l])) {
-          return false;
-        }
-      }
-    }
-    return true;
-  }
-  // Fast path: one batch inversion for the N ratios, then the whole decrypt
-  // layer verifies as a single MultiExp relation (DleqBatchVerify) instead
-  // of 4 exponentiations per ciphertext.
+  // One batch inversion for the N ratios, then the whole decrypt layer
+  // verifies as a single MultiExp relation (DleqBatchVerify) instead of 4
+  // exponentiations per ciphertext.
   std::vector<BigInt> after_b;
   for (size_t i = 0; i < step.shuffled.size(); ++i) {
     for (size_t l = 0; l < step.shuffled[i].size(); ++l) {
@@ -247,8 +213,8 @@ bool VerifyShuffleCascade(const GroupDef& def, const CiphertextMatrix& submissio
   }
   // Every step's claimed inputs are already in hand (step j consumes step
   // j-1's decrypted matrix), so the M step verifications are independent and
-  // fan out across workers on the fast path; the chaining itself is enforced
-  // by passing exactly those matrices as the expected inputs.
+  // fan out across workers; the chaining itself is enforced by passing
+  // exactly those matrices as the expected inputs.
   const size_t steps = result.steps.size();
   if (steps == 0) {
     return submissions == result.final_rows;
@@ -258,30 +224,15 @@ bool VerifyShuffleCascade(const GroupDef& def, const CiphertextMatrix& submissio
   for (size_t j = 1; j < steps; ++j) {
     step_inputs[j] = &result.steps[j - 1].decrypted;
   }
-  const size_t threads = DefaultCryptoThreads();
-  if (CryptoFastPathEnabled() && threads > 1 && steps > 1) {
-    std::atomic<bool> ok{true};
-    ParallelFor(steps, std::min(threads, steps), [&](size_t begin, size_t end) {
-      for (size_t j = begin; j < end; ++j) {
-        if (!ok.load(std::memory_order_relaxed)) {
-          return;
-        }
-        if (!VerifyMixStep(def, j, *step_inputs[j], result.steps[j])) {
-          ok.store(false, std::memory_order_relaxed);
-        }
-      }
-    });
-    if (!ok.load()) {
-      return false;
-    }
-  } else {
-    for (size_t j = 0; j < steps; ++j) {
+  std::atomic<bool> ok{true};
+  ParallelFor(steps, DefaultCryptoThreads(), [&](size_t begin, size_t end) {
+    for (size_t j = begin; j < end && ok.load(std::memory_order_relaxed); ++j) {
       if (!VerifyMixStep(def, j, *step_inputs[j], result.steps[j])) {
-        return false;
+        ok.store(false, std::memory_order_relaxed);
       }
     }
-  }
-  return result.steps.back().decrypted == result.final_rows;
+  });
+  return ok.load() && result.steps.back().decrypted == result.final_rows;
 }
 
 std::vector<BigInt> PseudonymKeyOrder(const CiphertextMatrix& final_rows) {

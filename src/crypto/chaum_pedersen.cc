@@ -90,13 +90,8 @@ bool DleqBatchVerify(const Group& group, const BigInt& g1, const BigInt& h1,
   if (items.empty()) {
     return true;
   }
-  if (!CryptoFastPathEnabled() || items.size() == 1) {
-    for (const DleqBatchItem& item : items) {
-      if (!DleqVerify(group, g1, h1, item.g2, item.h2, item.proof)) {
-        return false;
-      }
-    }
-    return true;
+  if (items.size() == 1) {
+    return DleqVerify(group, g1, h1, items[0].g2, items[0].h2, items[0].proof);
   }
   // Structural checks first: a commit outside the subgroup or an over-range
   // response can never verify, batched or not — and order-q membership is

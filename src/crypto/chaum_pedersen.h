@@ -49,7 +49,6 @@ struct DleqBatchItem {
 // 4n verification exponentiations into a single MultiExp relation under
 // deterministic 128-bit weights derived from the whole batch; accepts iff
 // every proof would individually verify, up to the 2^-128 weight slack.
-// With the crypto fast path disabled this is a plain DleqVerify loop.
 bool DleqBatchVerify(const Group& group, const BigInt& g1, const BigInt& h1,
                      const std::vector<DleqBatchItem>& items);
 

@@ -19,9 +19,7 @@ ElGamalCiphertext ElGamalEncrypt(const Group& group, const BigInt& combined_pub,
   // Encryption under a combined key is a repeated-base workload (every
   // client of a session encrypts under the same H), so the cached window
   // table pays for itself after a handful of calls.
-  auto table = group.CachedTable(combined_pub);
-  BigInt hr = table ? table->ExpSecret(r) : group.ExpSecret(combined_pub, r);
-  ct.b = group.MulElems(hr, message_elem);
+  ct.b = group.MulElems(group.CachedTable(combined_pub)->ExpSecret(r), message_elem);
   return ct;
 }
 
@@ -34,9 +32,7 @@ ElGamalCiphertext ElGamalReEncrypt(const Group& group, const BigInt& combined_pu
                                    const ElGamalCiphertext& ct, const BigInt& r2) {
   ElGamalCiphertext out;
   out.a = group.MulElems(ct.a, group.GExpSecret(r2));
-  auto table = group.CachedTable(combined_pub);
-  BigInt hr = table ? table->ExpSecret(r2) : group.ExpSecret(combined_pub, r2);
-  out.b = group.MulElems(ct.b, hr);
+  out.b = group.MulElems(ct.b, group.CachedTable(combined_pub)->ExpSecret(r2));
   return out;
 }
 

@@ -94,25 +94,14 @@ Group::~Group() = default;
 
 BigInt Group::Exp(const BigInt& base, const BigInt& e) const { return mont_p_.Exp(base, e); }
 
-BigInt Group::GExp(const BigInt& e) const {
-  if (CryptoFastPathEnabled()) {
-    return g_table_->Exp(e);
-  }
-  return mont_p_.Exp(g_, e);
-}
+BigInt Group::GExp(const BigInt& e) const { return g_table_->Exp(e); }
 
 BigInt Group::ExpSecret(const BigInt& base, const BigInt& e) const {
-  if (!CryptoFastPathEnabled()) {
-    return mont_p_.Exp(base, e);  // pre-PR (variable-time) reference path
-  }
   assert(BigInt::Cmp(e, q_) < 0);
   return mont_p_.ExpSecret(base, e, q_.BitLength());
 }
 
 BigInt Group::GExpSecret(const BigInt& e) const {
-  if (!CryptoFastPathEnabled()) {
-    return mont_p_.Exp(g_, e);
-  }
   assert(BigInt::Cmp(e, q_) < 0);
   return g_table_->ExpSecret(e);
 }
@@ -153,10 +142,10 @@ bool Group::IsElement(const BigInt& a) const {
   if (a.IsZero() || BigInt::Cmp(a, p_) >= 0) {
     return false;
   }
-  if (safe_prime_ && CryptoFastPathEnabled()) {
+  if (safe_prime_) {
     // Legendre symbol via binary Jacobi: identical verdict to a^q == 1 at a
     // small fraction of the exponentiation's cost (pinned against the
-    // reference below by tests/crypto/multiexp_test.cc,
+    // defining exponentiation by tests/crypto/multiexp_test.cc,
     // JacobiMembershipMatchesExpMembership).
     return BigInt::Jacobi(a, p_) == 1;
   }
@@ -176,9 +165,6 @@ Group::Elem Group::MulElems(const Elem& a, const Elem& b) const {
 const FixedBaseTable& Group::GeneratorTable() const { return *g_table_; }
 
 std::shared_ptr<const FixedBaseTable> Group::FindCachedTable(const BigInt& base) const {
-  if (!CryptoFastPathEnabled()) {
-    return nullptr;
-  }
   std::string key(reinterpret_cast<const char*>(base.limbs().data()),
                   base.limbs().size() * sizeof(uint64_t));
   std::lock_guard<std::mutex> lock(table_mu_);
@@ -187,9 +173,6 @@ std::shared_ptr<const FixedBaseTable> Group::FindCachedTable(const BigInt& base)
 }
 
 std::shared_ptr<const FixedBaseTable> Group::CachedTable(const BigInt& base) const {
-  if (!CryptoFastPathEnabled()) {
-    return nullptr;  // callers fall back to the generic ladder
-  }
   constexpr size_t kMaxCachedTables = 64;
   std::string key(reinterpret_cast<const char*>(base.limbs().data()),
                   base.limbs().size() * sizeof(uint64_t));

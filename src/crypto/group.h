@@ -68,7 +68,7 @@ class Group {
   // exponents go through ExpSecret/GExpSecret (see montgomery.h for the
   // timing-channel contract).
   BigInt Exp(const BigInt& base, const BigInt& e) const;
-  BigInt GExp(const BigInt& e) const;  // g^e (fixed-base comb when enabled)
+  BigInt GExp(const BigInt& e) const;  // g^e (fixed-base comb)
   // Constant-time-lookup variants for secret exponents (private keys,
   // nonces, re-encryption factors, shuffle secrets). e must be < q.
   BigInt ExpSecret(const BigInt& base, const BigInt& e) const;
@@ -96,11 +96,11 @@ class Group {
   const FixedBaseTable& GeneratorTable() const;
   // Cached per-base window table for repeated-base exponents (combined keys
   // h in the shuffle cascade, roster public keys in signature verification).
-  // Returns nullptr when the fast path is disabled (callers fall back to
-  // Exp/ExpSecret). Tables are built once and shared; a small FIFO bounds
-  // the cache. Call this only for bases known to repeat (a build costs ~15
+  // Never null. Tables are built once and shared; a small FIFO bounds the
+  // cache. Call this only for bases known to repeat (a build costs ~15
   // multiplications per window); FindCachedTable looks up without building,
-  // for opportunistic reuse on one-shot-or-maybe-repeated bases.
+  // for opportunistic reuse on one-shot-or-maybe-repeated bases, and returns
+  // nullptr on a miss.
   std::shared_ptr<const FixedBaseTable> CachedTable(const BigInt& base) const;
   std::shared_ptr<const FixedBaseTable> FindCachedTable(const BigInt& base) const;
 

@@ -50,28 +50,19 @@ IlmppProof IlmppProve(const Group& group, Transcript& transcript, const std::vec
 
   IlmppProof proof;
   proof.commits.resize(k);
-  if (CryptoFastPathEnabled()) {
-    // The prover knows the discrete logs of the statement (X_i = g^{x_i},
-    // Y_i = g^{y_i}), so every commitment is a single fixed-base comb
-    // exponentiation of the generator:
-    //   A_i = X_i^{theta_{i-1}} * Y_i^{theta_i} = g^{x_i th_{i-1} + y_i th_i}
-    // — two random-base ladders collapse into one comb eval per element.
-    // theta is secret, so the exponents are too: constant-time path.
-    proof.commits[0] = group.GExpSecret(group.MulScalars(y_logs[0], theta[0]));
-    for (size_t i = 1; i + 1 < k; ++i) {
-      proof.commits[i] = group.GExpSecret(
-          group.AddScalars(group.MulScalars(x_logs[i], theta[i - 1]),
-                           group.MulScalars(y_logs[i], theta[i])));
-    }
-    proof.commits[k - 1] = group.GExpSecret(group.MulScalars(x_logs[k - 1], theta[k - 2]));
-  } else {
-    proof.commits[0] = group.Exp(ys[0], theta[0]);
-    for (size_t i = 1; i + 1 < k; ++i) {
-      proof.commits[i] =
-          group.MulElems(group.Exp(xs[i], theta[i - 1]), group.Exp(ys[i], theta[i]));
-    }
-    proof.commits[k - 1] = group.Exp(xs[k - 1], theta[k - 2]);
+  // The prover knows the discrete logs of the statement (X_i = g^{x_i},
+  // Y_i = g^{y_i}), so every commitment is a single fixed-base comb
+  // exponentiation of the generator:
+  //   A_i = X_i^{theta_{i-1}} * Y_i^{theta_i} = g^{x_i th_{i-1} + y_i th_i}
+  // — two random-base ladders collapse into one comb eval per element.
+  // theta is secret, so the exponents are too: constant-time path.
+  proof.commits[0] = group.GExpSecret(group.MulScalars(y_logs[0], theta[0]));
+  for (size_t i = 1; i + 1 < k; ++i) {
+    proof.commits[i] = group.GExpSecret(
+        group.AddScalars(group.MulScalars(x_logs[i], theta[i - 1]),
+                         group.MulScalars(y_logs[i], theta[i])));
   }
+  proof.commits[k - 1] = group.GExpSecret(group.MulScalars(x_logs[k - 1], theta[k - 2]));
 
   BigInt gamma = DrawGamma(group, transcript, xs, ys, proof.commits);
 
@@ -117,32 +108,13 @@ bool IlmppVerify(const Group& group, Transcript& transcript, const std::vector<B
 
   BigInt gamma = DrawGamma(group, transcript, xs, ys, proof.commits);
 
-  if (!CryptoFastPathEnabled()) {
-    // Reference (pre-PR) path: one pair of ladders per equation.
-    // A_1 == Y_1^{r_1} * X_1^{gamma}
-    if (proof.commits[0] !=
-        group.MulElems(group.Exp(ys[0], proof.responses[0]), group.Exp(xs[0], gamma))) {
-      return false;
-    }
-    // A_i == X_i^{r_{i-1}} * Y_i^{r_i}
-    for (size_t i = 1; i + 1 < k; ++i) {
-      BigInt expect = group.MulElems(group.Exp(xs[i], proof.responses[i - 1]),
-                                     group.Exp(ys[i], proof.responses[i]));
-      if (proof.commits[i] != expect) {
-        return false;
-      }
-    }
-    // A_k == X_k^{r_{k-1}} * Y_k^{+-gamma}: +gamma when k is even (1-based
-    // sign (-1)^k), -gamma when odd.
-    BigInt last_exp = (k % 2 == 0) ? gamma : group.NegScalar(gamma);
-    BigInt expect_last = group.MulElems(group.Exp(xs[k - 1], proof.responses[k - 2]),
-                                        group.Exp(ys[k - 1], last_exp));
-    return proof.commits[k - 1] == expect_last;
-  }
-
-  // Batched verification: fold every per-element equation
-  //   X_i^{a_i} * Y_i^{b_i} * A_i^{-1} == 1
-  // into one product under deterministic 128-bit weights u_i. gamma already
+  // Batched verification. The per-element equations are
+  //   A_1 == X_1^{gamma} * Y_1^{r_1},
+  //   A_i == X_i^{r_{i-1}} * Y_i^{r_i},
+  //   A_k == X_k^{r_{k-1}} * Y_k^{+-gamma}
+  // (+gamma when k is even, 1-based sign (-1)^k; -gamma when odd). Each is
+  // written X_i^{a_i} * Y_i^{b_i} * A_i^{-1} == 1 and all are folded into
+  // one product under deterministic 128-bit weights u_i. gamma already
   // binds the statement and commitments (they were hashed to produce it);
   // the weights additionally bind the responses, so no prover choice can
   // steer the combined relation after the fact. Repeated statement bases

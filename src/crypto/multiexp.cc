@@ -1,7 +1,6 @@
 #include "src/crypto/multiexp.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstring>
 #include <string>
@@ -20,8 +19,6 @@ BigInt DrawBatchWeight128(Transcript& t, const std::string& label) {
 }
 
 namespace {
-
-std::atomic<bool> g_fast_path{true};
 
 // Branchless all-ones mask iff x == y.
 inline uint64_t EqMask(uint64_t x, uint64_t y) {
@@ -42,15 +39,6 @@ inline uint64_t WindowDigit(const uint64_t* limbs, size_t w) {
 }
 
 }  // namespace
-
-bool CryptoFastPathEnabled() { return g_fast_path.load(std::memory_order_relaxed); }
-
-ScopedCryptoFastPath::ScopedCryptoFastPath(bool enabled)
-    : prev_(g_fast_path.exchange(enabled, std::memory_order_relaxed)) {}
-
-ScopedCryptoFastPath::~ScopedCryptoFastPath() {
-  g_fast_path.store(prev_, std::memory_order_relaxed);
-}
 
 // --- FixedBaseTable ---
 

@@ -27,12 +27,6 @@
 //
 // All inputs must be order-q subgroup elements: exponents are reduced mod q
 // (and merged mod q for duplicate bases), which is only sound when base^q=1.
-//
-// The process-wide fast-path switch exists so benches and equivalence tests
-// can run the exact pre-PR code (generic Montgomery ladder, per-equation
-// verification, serial loops) against the engine: CI guards the verified
-// 1,000-client cascade at >= 4x the reference path (bench/micro_crypto.cc,
-// BM_KeyShuffleCascade).
 #ifndef DISSENT_CRYPTO_MULTIEXP_H_
 #define DISSENT_CRYPTO_MULTIEXP_H_
 
@@ -50,27 +44,8 @@ class Transcript;
 // invertible. ALL verifier-side relation folding (shuffle binding layer,
 // ILMPP, DLEQ batches, Schnorr batches) must draw weights through this one
 // helper — the truncation width and the zero convention are
-// soundness-relevant, and the reference/fast paths of each protocol must
-// see identical weights.
+// soundness-relevant.
 BigInt DrawBatchWeight128(Transcript& t, const std::string& label);
-
-// Process-wide fast-path switch, default on. Off = faithful pre-PR
-// behaviour: Group::GExp/Exp*/IsElement fall back to the generic Montgomery
-// ladder, proof prove/verify paths take their per-equation reference
-// branches, and DefaultCryptoThreads() is 1. Values are identical either
-// way; only cost changes.
-bool CryptoFastPathEnabled();
-
-class ScopedCryptoFastPath {
- public:
-  explicit ScopedCryptoFastPath(bool enabled);
-  ~ScopedCryptoFastPath();
-  ScopedCryptoFastPath(const ScopedCryptoFastPath&) = delete;
-  ScopedCryptoFastPath& operator=(const ScopedCryptoFastPath&) = delete;
-
- private:
-  bool prev_;
-};
 
 // Fixed-base comb table over 4-bit windows of the scalar field width.
 // Construction costs ~15 multiplications per window (built once, reused for

@@ -104,38 +104,26 @@ bool SchnorrMultiVerify(const Group& group, const std::vector<BigInt>& pubs,
     t.AppendElement(group, "commit", sigs[i].commit);
     t.AppendScalar(group, "response", sigs[i].response);
   }
-  BigInt combined_exp(0);                 // sum z_i s_i  (mod q)
-  if (CryptoFastPathEnabled()) {
-    // The whole batch is one product-of-powers relation:
-    //   g^{sum z_i s_i} == prod R_i^{z_i} * prod y_i^{c_i z_i}
-    // — a single interleaved MultiExp over 2n bases instead of 2n
-    // independent ladders (weights drawn in the same order as the reference
-    // loop, so both paths verify the identical relation).
-    std::vector<BigInt> bases;
-    std::vector<BigInt> exps;
-    bases.reserve(2 * sigs.size());
-    exps.reserve(2 * sigs.size());
-    for (size_t i = 0; i < sigs.size(); ++i) {
-      BigInt z = DrawBatchWeight128(t, "z");
-      BigInt c = Challenge(group, pubs[i], sigs[i].commit, message);
-      combined_exp = group.AddScalars(combined_exp, group.MulScalars(z, sigs[i].response));
-      BigInt cz = group.MulScalars(c, z);
-      bases.push_back(sigs[i].commit);
-      exps.push_back(std::move(z));
-      bases.push_back(pubs[i]);
-      exps.push_back(std::move(cz));
-    }
-    return group.GExp(combined_exp) == MultiExp(group, bases, exps);
-  }
-  BigInt rhs = group.Identity();          // prod R_i^{z_i} * prod y_i^{c_i z_i}
+  // The whole batch is one product-of-powers relation:
+  //   g^{sum z_i s_i} == prod R_i^{z_i} * prod y_i^{c_i z_i}
+  // — a single interleaved MultiExp over 2n bases instead of 2n
+  // independent ladders.
+  BigInt combined_exp(0);  // sum z_i s_i  (mod q)
+  std::vector<BigInt> bases;
+  std::vector<BigInt> exps;
+  bases.reserve(2 * sigs.size());
+  exps.reserve(2 * sigs.size());
   for (size_t i = 0; i < sigs.size(); ++i) {
     BigInt z = DrawBatchWeight128(t, "z");
     BigInt c = Challenge(group, pubs[i], sigs[i].commit, message);
     combined_exp = group.AddScalars(combined_exp, group.MulScalars(z, sigs[i].response));
-    rhs = group.MulElems(rhs, group.Exp(sigs[i].commit, z));
-    rhs = group.MulElems(rhs, group.Exp(pubs[i], group.MulScalars(c, z)));
+    BigInt cz = group.MulScalars(c, z);
+    bases.push_back(sigs[i].commit);
+    exps.push_back(std::move(z));
+    bases.push_back(pubs[i]);
+    exps.push_back(std::move(cz));
   }
-  return group.GExp(combined_exp) == rhs;
+  return group.GExp(combined_exp) == MultiExp(group, bases, exps);
 }
 
 }  // namespace dissent

@@ -125,7 +125,6 @@ ShuffleProof ShuffleProve(const Group& group, const BigInt& h, const CiphertextM
   assert(k >= 2);
   const size_t width = inputs[0].size();
   assert(outputs.size() == k && witness.perm.size() == k && witness.factors.size() == k);
-  const bool fast = CryptoFastPathEnabled();
   const size_t threads = DefaultCryptoThreads();
 
   Transcript transcript("dissent.shuffle.v1");
@@ -162,33 +161,19 @@ ShuffleProof ShuffleProve(const Group& group, const BigInt& h, const CiphertextM
                                         proof.gamma_commit, e, gamma, witness.perm, rng);
 
   // Montgomery-domain column views shared by layers 2 and 3.
-  std::vector<std::vector<Group::Elem>> out_a, out_b, in_a, in_b;
-  if (fast) {
-    out_a = ColumnElems(group, outputs, /*b_component=*/false, threads);
-    out_b = ColumnElems(group, outputs, /*b_component=*/true, threads);
-    in_a = ColumnElems(group, inputs, /*b_component=*/false, threads);
-    in_b = ColumnElems(group, inputs, /*b_component=*/true, threads);
-  }
+  const auto out_a = ColumnElems(group, outputs, /*b_component=*/false, threads);
+  const auto out_b = ColumnElems(group, outputs, /*b_component=*/true, threads);
+  const auto in_a = ColumnElems(group, inputs, /*b_component=*/false, threads);
+  const auto in_b = ColumnElems(group, inputs, /*b_component=*/true, threads);
 
   // Layer 2: products Q and the generalized Schnorr binding. The f_i are
   // secret (they encode the permutation), so the column products run through
   // the constant-time MultiExp.
   proof.q_a.resize(width);
   proof.q_b.resize(width);
-  if (fast) {
-    for (size_t l = 0; l < width; ++l) {
-      proof.q_a[l] = MultiExpSecret(group, out_a[l], f, threads);
-      proof.q_b[l] = MultiExpSecret(group, out_b[l], f, threads);
-    }
-  } else {
-    proof.q_a.assign(width, group.Identity());
-    proof.q_b.assign(width, group.Identity());
-    for (size_t i = 0; i < k; ++i) {
-      for (size_t l = 0; l < width; ++l) {
-        proof.q_a[l] = group.MulElems(proof.q_a[l], group.Exp(outputs[i][l].a, f[i]));
-        proof.q_b[l] = group.MulElems(proof.q_b[l], group.Exp(outputs[i][l].b, f[i]));
-      }
-    }
+  for (size_t l = 0; l < width; ++l) {
+    proof.q_a[l] = MultiExpSecret(group, out_a[l], f, threads);
+    proof.q_b[l] = MultiExpSecret(group, out_b[l], f, threads);
   }
   for (size_t l = 0; l < width; ++l) {
     transcript.AppendElement(group, "shuf.QA", proof.q_a[l]);
@@ -210,20 +195,9 @@ ShuffleProof ShuffleProve(const Group& group, const BigInt& h, const CiphertextM
   }
   proof.bind_t_qa.resize(width);
   proof.bind_t_qb.resize(width);
-  if (fast) {
-    for (size_t l = 0; l < width; ++l) {
-      proof.bind_t_qa[l] = MultiExpSecret(group, out_a[l], w, threads);
-      proof.bind_t_qb[l] = MultiExpSecret(group, out_b[l], w, threads);
-    }
-  } else {
-    proof.bind_t_qa.assign(width, group.Identity());
-    proof.bind_t_qb.assign(width, group.Identity());
-    for (size_t i = 0; i < k; ++i) {
-      for (size_t l = 0; l < width; ++l) {
-        proof.bind_t_qa[l] = group.MulElems(proof.bind_t_qa[l], group.Exp(outputs[i][l].a, w[i]));
-        proof.bind_t_qb[l] = group.MulElems(proof.bind_t_qb[l], group.Exp(outputs[i][l].b, w[i]));
-      }
-    }
+  for (size_t l = 0; l < width; ++l) {
+    proof.bind_t_qa[l] = MultiExpSecret(group, out_a[l], w, threads);
+    proof.bind_t_qb[l] = MultiExpSecret(group, out_b[l], w, threads);
   }
   for (size_t l = 0; l < width; ++l) {
     transcript.AppendElement(group, "shuf.bind.TQA", proof.bind_t_qa[l]);
@@ -237,19 +211,10 @@ ShuffleProof ShuffleProve(const Group& group, const BigInt& h, const CiphertextM
   }
 
   // Layer 3: product argument over verifier-computable PA/PB (e_i public).
-  std::vector<BigInt> p_a(width, group.Identity()), p_b(width, group.Identity());
-  if (fast) {
-    for (size_t l = 0; l < width; ++l) {
-      p_a[l] = MultiExp(group, in_a[l], e, threads);
-      p_b[l] = MultiExp(group, in_b[l], e, threads);
-    }
-  } else {
-    for (size_t i = 0; i < k; ++i) {
-      for (size_t l = 0; l < width; ++l) {
-        p_a[l] = group.MulElems(p_a[l], group.Exp(inputs[i][l].a, e[i]));
-        p_b[l] = group.MulElems(p_b[l], group.Exp(inputs[i][l].b, e[i]));
-      }
-    }
+  std::vector<BigInt> p_a(width), p_b(width);
+  for (size_t l = 0; l < width; ++l) {
+    p_a[l] = MultiExp(group, in_a[l], e, threads);
+    p_b[l] = MultiExp(group, in_b[l], e, threads);
   }
   std::vector<BigInt> bhat(width);
   for (size_t l = 0; l < width; ++l) {
@@ -267,10 +232,10 @@ ShuffleProof ShuffleProve(const Group& group, const BigInt& h, const CiphertextM
   proof.prod_t_b.resize(width);
   for (size_t l = 0; l < width; ++l) {
     t[l] = group.RandomScalar(rng);
-    BigInt h_t = h_table ? h_table->ExpSecret(t[l]) : group.ExpSecret(h, t[l]);
     proof.prod_t_a[l] =
         group.MulElems(group.GExpSecret(t[l]), group.ExpSecret(p_a[l], s));
-    proof.prod_t_b[l] = group.MulElems(h_t, group.ExpSecret(p_b[l], s));
+    proof.prod_t_b[l] =
+        group.MulElems(h_table->ExpSecret(t[l]), group.ExpSecret(p_b[l], s));
     transcript.AppendElement(group, "shuf.prod.TA", proof.prod_t_a[l]);
     transcript.AppendElement(group, "shuf.prod.TB", proof.prod_t_b[l]);
   }
@@ -331,7 +296,6 @@ bool ShuffleVerify(const Group& group, const BigInt& h, const CiphertextMatrix& 
       BigInt::Cmp(proof.prod_z_s, group.q()) >= 0) {
     return false;
   }
-  const bool fast = CryptoFastPathEnabled();
   const size_t threads = DefaultCryptoThreads();
 
   Transcript transcript("dissent.shuffle.v1");
@@ -368,87 +332,55 @@ bool ShuffleVerify(const Group& group, const BigInt& h, const CiphertextMatrix& 
     transcript.AppendElement(group, "shuf.bind.TQB", proof.bind_t_qb[l]);
   }
   BigInt c1 = transcript.ChallengeScalar(group, "shuf.c1");
-  if (!fast) {
-    for (size_t i = 0; i < k; ++i) {
-      // g^{z_i} == TF_i * F_i^{c1}
-      if (group.GExp(proof.bind_z[i]) !=
-          group.MulElems(proof.bind_t_f[i], group.Exp(proof.f_elems[i], c1))) {
-        return false;
-      }
-      transcript.AppendScalar(group, "shuf.bind.z", proof.bind_z[i]);
-    }
-  } else {
-    for (size_t i = 0; i < k; ++i) {
-      transcript.AppendScalar(group, "shuf.bind.z", proof.bind_z[i]);
-    }
-    // Fold the k per-index checks g^{z_i} == TF_i * F_i^{c1} into one
-    // relation under deterministic weights (bound to c1 — which transitively
-    // binds the statement and commitments — plus the responses):
-    //   g^{sum v_i z_i} == prod TF_i^{v_i} * prod F_i^{c1 v_i}.
-    Transcript wt("dissent.shuffle.bind.batchverify.v1");
-    wt.AppendScalar(group, "c1", c1);
-    for (size_t i = 0; i < k; ++i) {
-      wt.AppendScalar(group, "z", proof.bind_z[i]);
-    }
-    BigInt combined(0);
-    std::vector<BigInt> bases;
-    std::vector<BigInt> exps;
-    bases.reserve(2 * k);
-    exps.reserve(2 * k);
-    for (size_t i = 0; i < k; ++i) {
-      BigInt v = DrawBatchWeight128(wt, "u");
-      combined = group.AddScalars(combined, group.MulScalars(v, proof.bind_z[i]));
-      bases.push_back(proof.bind_t_f[i]);
-      exps.push_back(v);
-      bases.push_back(proof.f_elems[i]);
-      exps.push_back(group.MulScalars(c1, v));
-    }
-    if (group.GExp(combined) != MultiExp(group, bases, exps, threads)) {
-      return false;
-    }
+  for (size_t i = 0; i < k; ++i) {
+    transcript.AppendScalar(group, "shuf.bind.z", proof.bind_z[i]);
   }
-  std::vector<std::vector<Group::Elem>> out_a, out_b, in_a, in_b;
-  if (fast) {
-    out_a = ColumnElems(group, outputs, /*b_component=*/false, threads);
-    out_b = ColumnElems(group, outputs, /*b_component=*/true, threads);
-    in_a = ColumnElems(group, inputs, /*b_component=*/false, threads);
-    in_b = ColumnElems(group, inputs, /*b_component=*/true, threads);
+  // Fold the k per-index checks g^{z_i} == TF_i * F_i^{c1} into one
+  // relation under deterministic weights (bound to c1 — which transitively
+  // binds the statement and commitments — plus the responses):
+  //   g^{sum v_i z_i} == prod TF_i^{v_i} * prod F_i^{c1 v_i}.
+  Transcript wt("dissent.shuffle.bind.batchverify.v1");
+  wt.AppendScalar(group, "c1", c1);
+  for (size_t i = 0; i < k; ++i) {
+    wt.AppendScalar(group, "z", proof.bind_z[i]);
   }
+  BigInt combined(0);
+  std::vector<BigInt> bases;
+  std::vector<BigInt> exps;
+  bases.reserve(2 * k);
+  exps.reserve(2 * k);
+  for (size_t i = 0; i < k; ++i) {
+    BigInt v = DrawBatchWeight128(wt, "u");
+    combined = group.AddScalars(combined, group.MulScalars(v, proof.bind_z[i]));
+    bases.push_back(proof.bind_t_f[i]);
+    exps.push_back(v);
+    bases.push_back(proof.f_elems[i]);
+    exps.push_back(group.MulScalars(c1, v));
+  }
+  if (group.GExp(combined) != MultiExp(group, bases, exps, threads)) {
+    return false;
+  }
+  const auto out_a = ColumnElems(group, outputs, /*b_component=*/false, threads);
+  const auto out_b = ColumnElems(group, outputs, /*b_component=*/true, threads);
+  const auto in_a = ColumnElems(group, inputs, /*b_component=*/false, threads);
+  const auto in_b = ColumnElems(group, inputs, /*b_component=*/true, threads);
   for (size_t l = 0; l < width; ++l) {
-    BigInt lhs_a, lhs_b;
-    if (fast) {
-      lhs_a = MultiExp(group, out_a[l], proof.bind_z, threads);
-      lhs_b = MultiExp(group, out_b[l], proof.bind_z, threads);
-    } else {
-      lhs_a = group.Identity();
-      lhs_b = group.Identity();
-      for (size_t i = 0; i < k; ++i) {
-        lhs_a = group.MulElems(lhs_a, group.Exp(outputs[i][l].a, proof.bind_z[i]));
-        lhs_b = group.MulElems(lhs_b, group.Exp(outputs[i][l].b, proof.bind_z[i]));
-      }
-    }
-    if (lhs_a != group.MulElems(proof.bind_t_qa[l], group.Exp(proof.q_a[l], c1))) {
+    // prod OutA_i^{z_i} == TQA * QA^{c1}, and likewise for the b column.
+    if (MultiExp(group, out_a[l], proof.bind_z, threads) !=
+        group.MulElems(proof.bind_t_qa[l], group.Exp(proof.q_a[l], c1))) {
       return false;
     }
-    if (lhs_b != group.MulElems(proof.bind_t_qb[l], group.Exp(proof.q_b[l], c1))) {
+    if (MultiExp(group, out_b[l], proof.bind_z, threads) !=
+        group.MulElems(proof.bind_t_qb[l], group.Exp(proof.q_b[l], c1))) {
       return false;
     }
   }
 
   // Layer 3.
-  std::vector<BigInt> p_a(width, group.Identity()), p_b(width, group.Identity());
-  if (fast) {
-    for (size_t l = 0; l < width; ++l) {
-      p_a[l] = MultiExp(group, in_a[l], e, threads);
-      p_b[l] = MultiExp(group, in_b[l], e, threads);
-    }
-  } else {
-    for (size_t i = 0; i < k; ++i) {
-      for (size_t l = 0; l < width; ++l) {
-        p_a[l] = group.MulElems(p_a[l], group.Exp(inputs[i][l].a, e[i]));
-        p_b[l] = group.MulElems(p_b[l], group.Exp(inputs[i][l].b, e[i]));
-      }
-    }
+  std::vector<BigInt> p_a(width), p_b(width);
+  for (size_t l = 0; l < width; ++l) {
+    p_a[l] = MultiExp(group, in_a[l], e, threads);
+    p_b[l] = MultiExp(group, in_b[l], e, threads);
   }
   for (size_t l = 0; l < width; ++l) {
     transcript.AppendElement(group, "shuf.prod.TA", proof.prod_t_a[l]);
@@ -472,8 +404,7 @@ bool ShuffleVerify(const Group& group, const BigInt& h, const CiphertextMatrix& 
       return false;
     }
     // h^{z_t} * PB^{z_s} == TB * QB^{c2}
-    BigInt h_zt = h_table ? h_table->Exp(proof.prod_z_t[l]) : group.Exp(h, proof.prod_z_t[l]);
-    lhs = group.MulElems(h_zt, group.Exp(p_b[l], proof.prod_z_s));
+    lhs = group.MulElems(h_table->Exp(proof.prod_z_t[l]), group.Exp(p_b[l], proof.prod_z_s));
     rhs = group.MulElems(proof.prod_t_b[l], group.Exp(proof.q_b[l], c2));
     if (lhs != rhs) {
       return false;

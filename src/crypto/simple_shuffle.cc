@@ -3,8 +3,6 @@
 #include <cassert>
 #include <cstdlib>
 
-#include "src/crypto/multiexp.h"
-
 namespace dissent {
 
 namespace {
@@ -36,28 +34,16 @@ void BuildSequences(const Group& group, const std::vector<BigInt>& xs,
   seq_y->clear();
   seq_x->reserve(2 * k);
   seq_y->reserve(2 * k);
-  if (CryptoFastPathEnabled()) {
-    Group::Elem g_shift = group.ToElem(g_neg_t);
-    Group::Elem gamma_shift = group.ToElem(gamma_neg_t);
-    for (size_t i = 0; i < k; ++i) {
-      seq_x->push_back(group.FromElem(group.MulElems(group.ToElem(xs[i]), g_shift)));
-    }
-    for (size_t i = 0; i < k; ++i) {
-      seq_x->push_back(gamma_commit);
-    }
-    for (size_t i = 0; i < k; ++i) {
-      seq_y->push_back(group.FromElem(group.MulElems(group.ToElem(ys[i]), gamma_shift)));
-    }
-  } else {
-    for (size_t i = 0; i < k; ++i) {
-      seq_x->push_back(group.MulElems(xs[i], g_neg_t));
-    }
-    for (size_t i = 0; i < k; ++i) {
-      seq_x->push_back(gamma_commit);
-    }
-    for (size_t i = 0; i < k; ++i) {
-      seq_y->push_back(group.MulElems(ys[i], gamma_neg_t));
-    }
+  Group::Elem g_shift = group.ToElem(g_neg_t);
+  Group::Elem gamma_shift = group.ToElem(gamma_neg_t);
+  for (size_t i = 0; i < k; ++i) {
+    seq_x->push_back(group.FromElem(group.MulElems(group.ToElem(xs[i]), g_shift)));
+  }
+  for (size_t i = 0; i < k; ++i) {
+    seq_x->push_back(gamma_commit);
+  }
+  for (size_t i = 0; i < k; ++i) {
+    seq_y->push_back(group.FromElem(group.MulElems(group.ToElem(ys[i]), gamma_shift)));
   }
   for (size_t i = 0; i < k; ++i) {
     seq_y->push_back(group.g());

@@ -4,8 +4,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/crypto/multiexp.h"
-
 namespace dissent {
 
 namespace {
@@ -13,9 +11,6 @@ thread_local bool t_in_parallel_region = false;
 }  // namespace
 
 size_t DefaultCryptoThreads() {
-  if (!CryptoFastPathEnabled()) {
-    return 1;
-  }
   const unsigned hw = std::thread::hardware_concurrency();
   return std::max<size_t>(std::min<size_t>(hw, 8), 1);
 }

@@ -20,9 +20,7 @@
 namespace dissent {
 
 // Worker budget for crypto hot paths: hardware_concurrency capped at 8
-// (matching DissentServer's pad-aggregation cap), and 1 when the crypto
-// fast path is disabled so the reference/pre-PR benchmark columns stay
-// faithfully serial.
+// (matching DissentServer's pad-aggregation cap).
 size_t DefaultCryptoThreads();
 
 // Invokes fn(begin, end) over a partition of [0, n) across up to

@@ -1,8 +1,9 @@
 // Equivalence suite for the multi-exponentiation engine: every fast path
 // (fixed-base comb, cached tables, Straus/Pippenger MultiExp, constant-time
 // secret variants, Jacobi membership) must be bit-identical to the generic
-// Montgomery::Exp reference — including the exponent edge cases and the full
-// key-shuffle cascade on both code paths.
+// Montgomery::Exp reference, including the exponent edge cases; batched
+// verifiers must agree with their per-item checks; and the full key-shuffle
+// cascade is pinned to a fixed digest of its transcript.
 #include "src/crypto/multiexp.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include "src/core/group_def.h"
 #include "src/core/key_shuffle.h"
 #include "src/crypto/schnorr.h"
+#include "src/crypto/sha256.h"
 
 namespace dissent {
 namespace {
@@ -175,21 +177,6 @@ TEST(MultiExpTest, CachedTablesMatchAndAreShared) {
   EXPECT_EQ(g->FindCachedTable(other), nullptr);
 }
 
-TEST(MultiExpTest, FastPathToggleIsScopedAndValuesAgree) {
-  auto g = Group::Named(GroupId::kTesting256);
-  SecureRng rng = SecureRng::FromLabel(109);
-  BigInt e = g->RandomScalar(rng);
-  ASSERT_TRUE(CryptoFastPathEnabled());
-  BigInt fast = g->GExp(e);
-  {
-    ScopedCryptoFastPath off(false);
-    ASSERT_FALSE(CryptoFastPathEnabled());
-    EXPECT_EQ(g->GExp(e), fast);
-    EXPECT_EQ(g->CachedTable(g->g()), nullptr);
-  }
-  ASSERT_TRUE(CryptoFastPathEnabled());
-}
-
 // --- IsElement: Jacobi test vs the defining exponentiation ---
 
 TEST(MultiExpTest, JacobiMembershipMatchesExpMembership) {
@@ -268,53 +255,30 @@ TEST(MultiExpTest, DleqBatchVerifyAcceptsAndRejects) {
     DleqProof proof = DleqProve(*g, g->g(), h1, g2, h2, x, rng);
     items.push_back({g2, h2, proof});
   }
+  // Oracle: the batch must accept exactly when every item verifies alone.
+  auto each_verifies = [&](const std::vector<DleqBatchItem>& batch) {
+    for (const DleqBatchItem& item : batch) {
+      if (!DleqVerify(*g, g->g(), h1, item.g2, item.h2, item.proof)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  ASSERT_TRUE(each_verifies(items));
   EXPECT_TRUE(DleqBatchVerify(*g, g->g(), h1, items));
-  {
-    ScopedCryptoFastPath off(false);
-    EXPECT_TRUE(DleqBatchVerify(*g, g->g(), h1, items));
-  }
-  // Tamper one response: the whole batch must reject on both paths.
+  // Tamper one response: that item fails alone, so the whole batch rejects.
   auto bad = items;
   bad[4].proof.response = g->AddScalars(bad[4].proof.response, BigInt(1));
+  ASSERT_FALSE(each_verifies(bad));
   EXPECT_FALSE(DleqBatchVerify(*g, g->g(), h1, bad));
-  {
-    ScopedCryptoFastPath off(false);
-    EXPECT_FALSE(DleqBatchVerify(*g, g->g(), h1, bad));
-  }
   // Tamper a statement element.
   bad = items;
   bad[2].h2 = g->MulElems(bad[2].h2, g->g());
+  ASSERT_FALSE(each_verifies(bad));
   EXPECT_FALSE(DleqBatchVerify(*g, g->g(), h1, bad));
 }
 
-// --- Schnorr batch via MultiExp ---
-
-TEST(MultiExpTest, SchnorrMultiVerifyPathsAgree) {
-  auto g = Group::Named(GroupId::kTesting256);
-  SecureRng rng = SecureRng::FromLabel(113);
-  Bytes msg = {1, 2, 3};
-  std::vector<BigInt> pubs;
-  std::vector<SchnorrSignature> sigs;
-  for (int i = 0; i < 7; ++i) {
-    SchnorrKeyPair kp = SchnorrKeyPair::Generate(*g, rng);
-    pubs.push_back(kp.pub);
-    sigs.push_back(SchnorrSign(*g, kp.priv, msg, rng));
-  }
-  EXPECT_TRUE(SchnorrMultiVerify(*g, pubs, msg, sigs));
-  {
-    ScopedCryptoFastPath off(false);
-    EXPECT_TRUE(SchnorrMultiVerify(*g, pubs, msg, sigs));
-  }
-  auto bad = sigs;
-  bad[5].response = g->AddScalars(bad[5].response, BigInt(1));
-  EXPECT_FALSE(SchnorrMultiVerify(*g, pubs, msg, bad));
-  {
-    ScopedCryptoFastPath off(false);
-    EXPECT_FALSE(SchnorrMultiVerify(*g, pubs, msg, bad));
-  }
-}
-
-// --- the cascade regression: both code paths, bit-identical artifacts ---
+// --- the cascade regression: a pinned digest of the whole transcript ---
 
 struct CascadeFixture {
   GroupDef def;
@@ -335,41 +299,28 @@ CascadeFixture MakeCascadeFixture(size_t clients, uint64_t seed) {
   return f;
 }
 
-TEST(MultiExpTest, ShuffleCascade64ClientsBothPaths) {
-  // The fast prover must emit byte-identical MixSteps to the reference
-  // prover (same rng stream), and each path's cascade must verify under
-  // BOTH verifiers — the engine relations and the pre-PR per-equation
-  // checks accept exactly the same transcripts.
+TEST(MultiExpTest, ShuffleCascade64ClientsMatchesPinnedDigest) {
+  // Every prover byte (each MixStep in order, then each final row) hashed
+  // into one SHA-256. The expected value is the one a prover built from
+  // generic Montgomery::Exp ladders produces for the same fixture, so a
+  // change to the prover's rng stream, exponent schedule or encoding fails
+  // here even when the changed prover still verifies.
   CascadeFixture f = MakeCascadeFixture(64, 777);
-  SecureRng rng_fast = SecureRng::FromLabel(4242);
-  SecureRng rng_ref = SecureRng::FromLabel(4242);
-  ShuffleCascadeResult fast_cascade, ref_cascade;
-  {
-    ScopedCryptoFastPath on(true);
-    fast_cascade = RunShuffleCascade(f.def, f.server_privs, f.submissions, rng_fast);
+  SecureRng rng = SecureRng::FromLabel(4242);
+  ShuffleCascadeResult cascade = RunShuffleCascade(f.def, f.server_privs, f.submissions, rng);
+  Sha256 digest;
+  for (const MixStep& step : cascade.steps) {
+    digest.Update(SerializeMixStep(*f.def.group, step));
   }
-  {
-    ScopedCryptoFastPath off(false);
-    ref_cascade = RunShuffleCascade(f.def, f.server_privs, f.submissions, rng_ref);
+  for (const auto& row : cascade.final_rows) {
+    digest.Update(SerializeCiphertextRow(*f.def.group, row));
   }
-  ASSERT_EQ(fast_cascade.steps.size(), ref_cascade.steps.size());
-  for (size_t j = 0; j < fast_cascade.steps.size(); ++j) {
-    EXPECT_EQ(SerializeMixStep(*f.def.group, fast_cascade.steps[j]),
-              SerializeMixStep(*f.def.group, ref_cascade.steps[j]))
-        << "prover output diverged at step " << j;
-  }
-  EXPECT_EQ(fast_cascade.final_rows, ref_cascade.final_rows);
-  {
-    ScopedCryptoFastPath on(true);
-    EXPECT_TRUE(VerifyShuffleCascade(f.def, f.submissions, fast_cascade));
-  }
-  {
-    ScopedCryptoFastPath off(false);
-    EXPECT_TRUE(VerifyShuffleCascade(f.def, f.submissions, fast_cascade));
-  }
+  EXPECT_EQ(ToHex(digest.Finish()),
+            "a7ed5cc419553f4213d3c71e59b52ddc4899b50a4ea43b6d299af6a9970d7a46");
+  EXPECT_TRUE(VerifyShuffleCascade(f.def, f.submissions, cascade));
 }
 
-TEST(MultiExpTest, CascadeTamperRejectedOnBothPaths) {
+TEST(MultiExpTest, CascadeTamperRejected) {
   CascadeFixture f = MakeCascadeFixture(8, 778);
   SecureRng rng = SecureRng::FromLabel(4243);
   ShuffleCascadeResult cascade = RunShuffleCascade(f.def, f.server_privs, f.submissions, rng);
@@ -378,14 +329,7 @@ TEST(MultiExpTest, CascadeTamperRejectedOnBothPaths) {
   // still parses, but the step's proofs no longer match.
   ShuffleCascadeResult bad = cascade;
   std::swap(bad.steps[1].decrypted[0], bad.steps[1].decrypted[1]);
-  {
-    ScopedCryptoFastPath on(true);
-    EXPECT_FALSE(VerifyShuffleCascade(f.def, f.submissions, bad));
-  }
-  {
-    ScopedCryptoFastPath off(false);
-    EXPECT_FALSE(VerifyShuffleCascade(f.def, f.submissions, bad));
-  }
+  EXPECT_FALSE(VerifyShuffleCascade(f.def, f.submissions, bad));
 }
 
 }  // namespace

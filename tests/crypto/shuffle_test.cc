@@ -272,6 +272,45 @@ TEST(FullShuffleTest, RejectsProofFieldTampering) {
       "prod z_t");
   expect_reject([&](ShuffleProof& p) { p.f_elems.pop_back(); }, "structure: short f");
   expect_reject([&](ShuffleProof& p) { p.bind_z.push_back(BigInt(1)); }, "structure: long z");
+  // The remaining commitment fields, one element each.
+  expect_reject([&](ShuffleProof& p) { p.bind_t_f[2] = g->MulElems(p.bind_t_f[2], g->g()); },
+                "bind t_f");
+  expect_reject(
+      [&](ShuffleProof& p) { p.bind_t_qa[0] = g->MulElems(p.bind_t_qa[0], g->g()); },
+      "bind t_qa");
+  expect_reject(
+      [&](ShuffleProof& p) { p.bind_t_qb[1] = g->MulElems(p.bind_t_qb[1], g->g()); },
+      "bind t_qb");
+  expect_reject([&](ShuffleProof& p) { p.prod_t_a[1] = g->MulElems(p.prod_t_a[1], g->g()); },
+                "prod t_a");
+  expect_reject([&](ShuffleProof& p) { p.prod_t_b[0] = g->MulElems(p.prod_t_b[0], g->g()); },
+                "prod t_b");
+  expect_reject(
+      [&](ShuffleProof& p) { p.prod_t_gamma = g->MulElems(p.prod_t_gamma, g->g()); },
+      "prod t_gamma");
+  // The permutation layer's ILMPP proof.
+  expect_reject(
+      [&](ShuffleProof& p) {
+        auto& commits = p.perm_proof.ilmpp.commits;
+        commits[3] = g->MulElems(commits[3], g->g());
+      },
+      "ilmpp commit");
+  expect_reject(
+      [&](ShuffleProof& p) {
+        auto& responses = p.perm_proof.ilmpp.responses;
+        responses[2] = g->AddScalars(responses[2], BigInt(1));
+      },
+      "ilmpp response");
+  expect_reject([&](ShuffleProof& p) { p.perm_proof.ilmpp.responses.pop_back(); },
+                "structure: short ilmpp responses");
+  // Encodings outside the group: p-1 is not in the order-q subgroup, and a
+  // scalar plus q is the same residue mod q but not a canonical scalar.
+  expect_reject([&](ShuffleProof& p) { p.bind_t_f[0] = BigInt::Sub(g->p(), BigInt(1)); },
+                "non-member bind t_f");
+  expect_reject([&](ShuffleProof& p) { p.bind_z[1] = BigInt::Add(p.bind_z[1], g->q()); },
+                "bind z + q");
+  expect_reject([&](ShuffleProof& p) { p.prod_z_t[0] = BigInt::Add(p.prod_z_t[0], g->q()); },
+                "prod z_t + q");
 }
 
 TEST(FullShuffleTest, RejectsWrongKeyStatement) {

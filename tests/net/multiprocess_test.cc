@@ -10,7 +10,10 @@
 // Skips (rather than fails) when the binaries are not next to the test
 // executable — e.g. a build driver that compiles tests without the
 // deployment targets.
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -19,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -82,6 +86,62 @@ int WaitFor(pid_t pid, int64_t timeout_ms) {
   waitpid(pid, nullptr, 0);
   return -1;
 }
+
+// Polls until `host:port` accepts a TCP connection; false after timeout_ms.
+// dissentd blocks SIGTERM before it listens, so once this returns true a
+// SIGTERM takes the snapshot-and-exit path instead of killing the process.
+bool WaitForListen(const std::string& host, uint16_t port, int64_t timeout_ms) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    return false;
+  }
+  for (int64_t waited = 0; waited < timeout_ms; waited += 20) {
+    const int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    const bool accepted =
+        fd >= 0 && connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+    if (fd >= 0) {
+      close(fd);
+    }
+    if (accepted) {
+      return true;
+    }
+    usleep(20 * 1000);
+  }
+  return false;
+}
+
+// A fresh /tmp directory for one fleet's logs, stats and snapshots. On
+// destruction it is removed if the test has passed so far; after a failure
+// it is kept and its path printed, so the logs can be read.
+class WorkDir {
+ public:
+  explicit WorkDir(const std::string& prefix) {
+    std::string tmpl = "/tmp/" + prefix + ".XXXXXX";
+    if (mkdtemp(tmpl.data()) != nullptr) {
+      path_ = tmpl;
+    }
+  }
+  ~WorkDir() {
+    if (path_.empty()) {
+      return;
+    }
+    if (::testing::Test::HasFailure()) {
+      std::fprintf(stderr, "kept work directory %s\n", path_.c_str());
+    } else {
+      std::error_code ec;
+      std::filesystem::remove_all(path_, ec);
+    }
+  }
+  WorkDir(const WorkDir&) = delete;
+  WorkDir& operator=(const WorkDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 size_t CountLines(const std::string& path) {
   std::ifstream in(path);
@@ -150,9 +210,9 @@ TEST(MultiProcess, FiveServersSurviveRestartByteIdentical) {
   cfg.rounds = 15;
   cfg.base_port = 31500;
 
-  char tmpl[] = "/tmp/dissent-mp.XXXXXX";
-  ASSERT_NE(mkdtemp(tmpl), nullptr);
-  const std::string work(tmpl);
+  WorkDir work_dir("dissent-mp");
+  ASSERT_FALSE(work_dir.path().empty());
+  const std::string& work = work_dir.path();
   const std::vector<std::string> shape = ShapeFlags(cfg);
 
   auto spawn_server = [&](size_t j) {
@@ -289,7 +349,9 @@ TEST(MultiProcess, StaleSnapshotServerRejoinsViaCatchUpOverSockets) {
   cfg.num_clients = 8;
   cfg.clients_per_host = 2;
   cfg.pipeline_depth = 2;
-  cfg.rounds = 12;
+  // Long enough that the session is still running when the victim is
+  // killed: a short session can finish first on a fast machine.
+  cfg.rounds = 300;
 
   bool abort_path = false;
   for (int attempt = 0; attempt < 3 && !abort_path; ++attempt) {
@@ -297,9 +359,9 @@ TEST(MultiProcess, StaleSnapshotServerRejoinsViaCatchUpOverSockets) {
     // TIME_WAIT.
     cfg.base_port = 31700 + 40 * attempt;
 
-    char tmpl[] = "/tmp/dissent-mp-catchup.XXXXXX";
-    ASSERT_NE(mkdtemp(tmpl), nullptr);
-    const std::string work(tmpl);
+    WorkDir work_dir("dissent-mp-catchup");
+    ASSERT_FALSE(work_dir.path().empty());
+    const std::string& work = work_dir.path();
     std::vector<std::string> shape = ShapeFlags(cfg);
     // Wall-clock abort deadline: generous against scheduler jitter, short
     // enough that a 3 s outage spans several fleet aborts.
@@ -350,6 +412,10 @@ TEST(MultiProcess, StaleSnapshotServerRejoinsViaCatchUpOverSockets) {
     usleep(3000 * 1000);
     server_pid[victim] = spawn_server(victim);
     ASSERT_GT(server_pid[victim], 0);
+    // The closing SIGTERM below must find the restarted server listening,
+    // with the signal already blocked, or it dies without writing stats.
+    EXPECT_TRUE(WaitForListen(cfg.host, cfg.server_port(victim), 30000))
+        << "restarted server never listened";
 
     for (size_t h = 0; h < cfg.num_hosts(); ++h) {
       EXPECT_EQ(WaitFor(client_pid[h], 120000), 0) << "client host " << h;
