@@ -64,7 +64,7 @@ void Run() {
   std::printf("  * 128KB rounds cost far more than 1%%-submit at every N (bandwidth bound)\n");
   std::printf("  * PlanetLab client submission dominated by straggler tail, not N\n");
   std::printf("  * round time grows with N; 5120 clients remain feasible\n");
-  std::printf("  (paper: 0.5-0.6 s at 32-256 clients; >1 s past 1000; see EXPERIMENTS.md)\n");
+  std::printf("  (paper: 0.5-0.6 s at 32-256 clients; >1 s past 1000)\n");
 }
 
 }  // namespace

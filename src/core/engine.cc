@@ -76,6 +76,33 @@ constexpr uint64_t kRecvWindow = 4096;
 // retransmitted until the cumulative frontier advances.
 constexpr uint64_t kSackSpan = 64;
 
+// Snapshot count cap for the engine's maps and histories.
+constexpr size_t kMaxSnapshotEntries = 1 << 16;
+
+// The T a parsed frame holds (the frame itself when T is WireMessage), or
+// null.
+template <class T>
+T* Alternative(WireMessage& m) {
+  return std::get_if<T>(&m);
+}
+template <>
+WireMessage* Alternative<WireMessage>(WireMessage& m) {
+  return &m;
+}
+
+// A snapshotted wire frame, stored as a blob; on load it must parse as a T.
+template <class T, class Ar>
+bool WireFrame(Ar& ar, T& msg) {
+  return ar.Nested([&] { return SerializeWire(msg); }, [&](const Bytes& frame) {
+    std::optional<WireMessage> parsed = ParseWire(frame);
+    T* m = parsed.has_value() ? Alternative<T>(*parsed) : nullptr;
+    if (m != nullptr) {
+      msg = std::move(*m);
+    }
+    return m != nullptr;
+  });
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -229,72 +256,27 @@ bool ReliableMailbox::HasPending() const {
   return false;
 }
 
-void ReliableMailbox::SerializeTo(Writer& w) const {
-  w.U32(static_cast<uint32_t>(links_.size()));
-  for (const auto& [key, l] : links_) {
-    (void)key;
-    w.U8(static_cast<uint8_t>(l.peer.kind));
-    w.U32(l.peer.index);
-    w.U64(l.next_seq);
-    w.U64(l.cum);
-    w.U32(static_cast<uint32_t>(l.ooo.size()));
-    for (uint64_t s : l.ooo) {
-      w.U64(s);
-    }
-    w.U32(static_cast<uint32_t>(l.pending.size()));
-    for (const auto& [seq, p] : l.pending) {
-      w.U64(seq);
-      w.Blob(SerializeWire(*p.frame));
-    }
-  }
-}
-
-bool ReliableMailbox::RestoreFrom(Reader& r) {
-  links_.clear();
-  uint32_t n = 0;
-  if (!r.U32(&n) || n > (1u << 16)) {
-    return false;
-  }
-  for (uint32_t i = 0; i < n; ++i) {
-    uint8_t kind = 0;
-    uint32_t idx = 0;
-    if (!r.U8(&kind) || kind > static_cast<uint8_t>(Peer::Kind::kAttachedClients) ||
-        !r.U32(&idx)) {
-      return false;
-    }
-    Link& l = LinkFor(Peer{static_cast<Peer::Kind>(kind), idx});
-    uint32_t n_ooo = 0;
-    uint32_t n_pending = 0;
-    if (!r.U64(&l.next_seq) || !r.U64(&l.cum) || !r.U32(&n_ooo) || n_ooo > kRecvWindow) {
-      return false;
-    }
-    for (uint32_t k = 0; k < n_ooo; ++k) {
-      uint64_t s = 0;
-      if (!r.U64(&s)) {
-        return false;
-      }
-      l.ooo.insert(s);
-    }
-    if (!r.U32(&n_pending) || n_pending > kRecvWindow) {
-      return false;
-    }
-    for (uint32_t k = 0; k < n_pending; ++k) {
-      uint64_t seq = 0;
-      Bytes frame;
-      if (!r.U64(&seq) || !r.Blob(&frame)) {
-        return false;
-      }
-      auto parsed = ParseWire(frame);
-      if (!parsed.has_value() || !std::holds_alternative<wire::Reliable>(*parsed)) {
-        return false;
-      }
-      // Due immediately, back at the initial timeout: the restart itself is
-      // the backoff.
-      l.pending.emplace(
-          seq, Pending{std::make_shared<const WireMessage>(std::move(*parsed)), 0, cfg_.rto_us});
-    }
-  }
-  return true;
+template <class Ar>
+bool ReliableMailbox::Fields(Ar& ar) {
+  return ar.Seq(links_, kMaxSnapshotEntries, [&](auto& keyed_link) {
+    auto& [key, l] = keyed_link;
+    return ar.U8(l.peer.kind) && ar.Check(l.peer.kind <= Peer::Kind::kAttachedClients) &&
+           ar.U32(l.peer.index) && ar.Derived(key, PeerKey(l.peer)) && ar.U64(l.next_seq) &&
+           ar.U64(l.cum) &&
+           ar.Seq(l.ooo, kRecvWindow, [&](uint64_t& seq) { return ar.U64(seq); }) &&
+           ar.Seq(l.pending, kRecvWindow, [&](auto& seq_pending) {
+             auto& [seq, p] = seq_pending;
+             // A restored frame is due at once, back at the initial timeout:
+             // the restart itself is the backoff.
+             return ar.U64(seq) && ar.Derived(p.rto_us, cfg_.rto_us) &&
+                    ar.Nested([&] { return SerializeWire(*p.frame); },
+                              [&](const Bytes& frame) {
+                                p.frame = ParseWireShared(frame);
+                                return p.frame != nullptr &&
+                                       std::holds_alternative<wire::Reliable>(*p.frame);
+                              });
+           });
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -1360,297 +1342,109 @@ bool ServerEngine::TimerStaleAfterRound(uint64_t token, uint64_t round, bool bla
 
 namespace {
 
-void WriteOptionalBlob(Writer& w, const std::optional<Bytes>& v) {
-  w.Bool(v.has_value());
-  if (v.has_value()) {
-    w.Blob(*v);
-  }
-}
-
-bool ReadOptionalBlob(Reader& r, std::optional<Bytes>* v) {
-  bool present = false;
-  if (!r.Bool(&present)) {
-    return false;
-  }
-  if (!present) {
-    v->reset();
-    return true;
-  }
-  Bytes b;
-  if (!r.Blob(&b)) {
-    return false;
-  }
-  *v = std::move(b);
-  return true;
-}
-
 constexpr char kSnapshotMagic[] = "dissent.engine.snap.v1";
+
+// Restored round times feed the deadline re-arm (started + deadline - now),
+// so they must leave that arithmetic room. No transport clock reads
+// negative: sim time starts at 0 and CLOCK_MONOTONIC counts from boot.
+bool IsSnapshotTime(int64_t t_us) { return t_us >= 0 && t_us < (int64_t{1} << 62); }
 
 }  // namespace
 
+template <class Ar>
+bool ServerEngine::Fields(Ar& ar) {
+  auto blob_opt = [&](std::optional<Bytes>& v) {
+    return ar.Opt(v, [&](Bytes& b) { return ar.Blob(b); });
+  };
+  return ar.Expect(kSnapshotMagic) &&
+         ar.Nested([&] { return logic_->SerializeState(); },
+                   [&](const Bytes& state) { return logic_->RestoreState(state); }) &&
+         ar.U64(next_round_to_start_) && ar.U64(next_round_to_finish_) &&
+         ar.U64(rounds_completed_) && ar.U64(pipelined_submissions_) &&
+         ar.U64(blames_completed_) && ar.U64(rounds_aborted_) && ar.U32(last_participation_) &&
+         ar.U32(last_window_observed_) && ar.U32(expelled_attached_) && ar.Bool(halted_) &&
+         // Of the blame machinery only the pending flag survives a crash: a
+         // crash during an *active* instance degrades to the peers' deadlines
+         // and an inconclusive verdict (documented limitation).
+         ar.Bool(blame_.pending) && ar.U64(blame_.session) &&
+         ar.Expect(rounds_.size()) && ar.Each(rounds_, [&](RoundState& st) {
+           // An active round is open in the logic's ring too: every phase
+           // handler looks the round up there.
+           return ar.U64(st.round) && ar.Bool(st.active) &&
+                  ar.Check(!st.active || logic_->RoundOpen(st.round)) && ar.U64(st.started_us) &&
+                  ar.Check(IsSnapshotTime(st.started_us)) && ar.Bool(st.window_closed) &&
+                  ar.Bool(st.window_timer_armed) && ar.U64(st.window_close_at_us) &&
+                  ar.Check(IsSnapshotTime(st.window_close_at_us)) && ar.U32(st.participation) &&
+                  ar.Blob(st.cleartext) && ar.Bool(st.sent_commit) && ar.Bool(st.sent_ct) &&
+                  ar.Bool(st.sent_sig) && ar.Bool(st.promised_abort) &&
+                  ar.Each(st.inventories, num_servers_,
+                          [&](std::optional<std::vector<uint32_t>>& inv) {
+                            // Strictly increasing client ids, as on the wire.
+                            return ar.Opt(inv, [&](std::vector<uint32_t>& ids) {
+                              return ar.Seq(ids, def_.num_clients(), [&](uint32_t& id) {
+                                return ar.U32(id) &&
+                                       ar.Check(id < def_.num_clients() &&
+                                                (ids.empty() || id > ids.back()));
+                              });
+                            });
+                          }) &&
+                  ar.Each(st.commits, num_servers_, blob_opt) &&
+                  ar.Each(st.server_cts, num_servers_, blob_opt) &&
+                  ar.Each(st.sigs, num_servers_, blob_opt);
+         }) &&
+         // Gossip buffered for rounds not yet opened: acked frames peers will
+         // never retransmit, so they must ride the snapshot.
+         ar.Seq(early_, kMaxSnapshotEntries, [&](auto& entry) {
+           auto& [round, msgs] = entry;
+           return ar.U64(round) && ar.Seq(msgs, kMaxSnapshotEntries, [&](auto& sender_msg) {
+             return ar.U32(sender_msg.first) && WireFrame(ar, sender_msg.second);
+           });
+         }) &&
+         ar.Seq(recent_, kMaxSnapshotEntries,
+                [&](wire::RoundSummary& summary) { return WireFrame(ar, summary); }) &&
+         mailbox_.Fields(ar) &&
+         // Abort-agreement durability: applied certificates (so a restored
+         // server can keep serving sibling catch-up and re-deliver
+         // idempotently) and the verified prepares gathered so far (so a
+         // restart mid-vote neither forgets its own promise nor re-collects
+         // what peers already sent and acked).
+         ar.Seq(abort_certs_, kMaxSnapshotEntries, [&](auto& entry) {
+           auto& [round, cert] = entry;
+           return WireFrame(ar, cert) && ar.Derived(round, cert.round);
+         }) &&
+         ar.Seq(abort_prepares_, kMaxSnapshotEntries, [&](auto& entry) {
+           auto& [round, by_server] = entry;
+           return ar.U64(round) && ar.Seq(by_server, num_servers_, [&](auto& vote) {
+             auto& [server, epoch_sig] = vote;
+             return ar.U32(server) && ar.U64(epoch_sig.first) && ar.Blob(epoch_sig.second);
+           });
+         });
+}
+
 Bytes ServerEngine::SerializeSnapshot() const {
-  Writer w;
-  w.Str(kSnapshotMagic);
-  w.Blob(logic_->SerializeState());
-  w.U64(next_round_to_start_);
-  w.U64(next_round_to_finish_);
-  w.U64(rounds_completed_);
-  w.U64(pipelined_submissions_);
-  w.U64(blames_completed_);
-  w.U64(rounds_aborted_);
-  w.U32(static_cast<uint32_t>(last_participation_));
-  w.U32(static_cast<uint32_t>(last_window_observed_));
-  w.U32(static_cast<uint32_t>(expelled_attached_));
-  w.Bool(halted_);
-  // Of the blame machinery only the pending flag survives a crash: a crash
-  // during an *active* instance degrades to the peers' deadlines and an
-  // inconclusive verdict (documented limitation).
-  w.Bool(blame_.pending);
-  w.U64(blame_.session);
-  w.U32(static_cast<uint32_t>(rounds_.size()));
-  for (const RoundState& st : rounds_) {
-    w.U64(st.round);
-    w.Bool(st.active);
-    w.U64(static_cast<uint64_t>(st.started_us));
-    w.Bool(st.window_closed);
-    w.Bool(st.window_timer_armed);
-    w.U64(static_cast<uint64_t>(st.window_close_at_us));
-    w.U32(static_cast<uint32_t>(st.participation));
-    w.Blob(st.cleartext);
-    w.Bool(st.sent_commit);
-    w.Bool(st.sent_ct);
-    w.Bool(st.sent_sig);
-    w.Bool(st.promised_abort);
-    for (const auto& inv : st.inventories) {
-      w.Bool(inv.has_value());
-      if (inv.has_value()) {
-        w.U32(static_cast<uint32_t>(inv->size()));
-        for (uint32_t id : *inv) {
-          w.U32(id);
-        }
-      }
-    }
-    for (const auto& c : st.commits) {
-      WriteOptionalBlob(w, c);
-    }
-    for (const auto& c : st.server_cts) {
-      WriteOptionalBlob(w, c);
-    }
-    for (const auto& s : st.sigs) {
-      WriteOptionalBlob(w, s);
-    }
-  }
-  // Gossip buffered for rounds not yet opened: acked frames peers will
-  // never retransmit, so they must ride the snapshot.
-  w.U32(static_cast<uint32_t>(early_.size()));
-  for (const auto& [round, msgs] : early_) {
-    w.U64(round);
-    w.U32(static_cast<uint32_t>(msgs.size()));
-    for (const auto& [sender, m] : msgs) {
-      w.U32(sender);
-      w.Blob(SerializeWire(m));
-    }
-  }
-  w.U32(static_cast<uint32_t>(recent_.size()));
-  for (const auto& s : recent_) {
-    w.Blob(SerializeWire(WireMessage(s)));
-  }
-  mailbox_.SerializeTo(w);
-  // Abort-agreement durability: applied certificates (so a restored server
-  // can keep serving sibling catch-up and re-deliver idempotently) and the
-  // verified prepares gathered so far (so a restart mid-vote neither forgets
-  // its own promise nor re-collects what peers already sent and acked).
-  w.U32(static_cast<uint32_t>(abort_certs_.size()));
-  for (const auto& [round, cert] : abort_certs_) {
-    (void)round;
-    w.Blob(SerializeWire(WireMessage(cert)));
-  }
-  w.U32(static_cast<uint32_t>(abort_prepares_.size()));
-  for (const auto& [round, by_server] : abort_prepares_) {
-    w.U64(round);
-    w.U32(static_cast<uint32_t>(by_server.size()));
-    for (const auto& [sid, es] : by_server) {
-      w.U32(sid);
-      w.U64(es.first);
-      w.Blob(es.second);
-    }
-  }
-  return w.Take();
+  SaveArchive ar;
+  const_cast<ServerEngine*>(this)->Fields(ar);
+  return ar.Take();
 }
 
 std::optional<ServerEngine::Actions> ServerEngine::RestoreSnapshot(const Bytes& snapshot,
                                                                    int64_t now_us) {
-  Reader r(snapshot);
-  std::string magic;
-  Bytes logic_state;
-  if (!r.Str(&magic) || magic != kSnapshotMagic || !r.Blob(&logic_state) ||
-      !logic_->RestoreState(logic_state)) {
-    return std::nullopt;
-  }
-  uint32_t participation = 0, window_observed = 0, expelled = 0, n_rounds = 0;
-  if (!r.U64(&next_round_to_start_) || !r.U64(&next_round_to_finish_) ||
-      !r.U64(&rounds_completed_) || !r.U64(&pipelined_submissions_) ||
-      !r.U64(&blames_completed_) || !r.U64(&rounds_aborted_) || !r.U32(&participation) ||
-      !r.U32(&window_observed) || !r.U32(&expelled) || !r.Bool(&halted_)) {
-    return std::nullopt;
-  }
-  last_participation_ = participation;
-  last_window_observed_ = window_observed;
-  expelled_attached_ = expelled;
+  // Nothing of an active blame instance, of stashed certificates or of an
+  // interrupted catch-up survives a crash.
   blame_ = BlameState{};
   blame_early_.clear();
-  if (!r.Bool(&blame_.pending) || !r.U64(&blame_.session)) {
-    return std::nullopt;
-  }
-  if (!r.U32(&n_rounds) || n_rounds != rounds_.size()) {
-    return std::nullopt;
-  }
-  for (RoundState& st : rounds_) {
-    uint64_t started = 0, close_at = 0;
-    uint32_t part = 0;
-    if (!r.U64(&st.round) || !r.Bool(&st.active) || !r.U64(&started) ||
-        !r.Bool(&st.window_closed) || !r.Bool(&st.window_timer_armed) || !r.U64(&close_at) ||
-        !r.U32(&part) || !r.Blob(&st.cleartext) || !r.Bool(&st.sent_commit) ||
-        !r.Bool(&st.sent_ct) || !r.Bool(&st.sent_sig) || !r.Bool(&st.promised_abort)) {
-      return std::nullopt;
-    }
-    st.started_us = static_cast<int64_t>(started);
-    st.window_close_at_us = static_cast<int64_t>(close_at);
-    st.participation = part;
-    st.inventories.assign(num_servers_, std::nullopt);
-    st.commits.assign(num_servers_, std::nullopt);
-    st.server_cts.assign(num_servers_, std::nullopt);
-    st.sigs.assign(num_servers_, std::nullopt);
-    st.reoffered.assign(num_servers_, false);
-    for (auto& inv : st.inventories) {
-      bool present = false;
-      if (!r.Bool(&present)) {
-        return std::nullopt;
-      }
-      if (present) {
-        uint32_t n = 0;
-        if (!r.U32(&n) || static_cast<size_t>(n) > r.remaining() / 4) {
-          return std::nullopt;
-        }
-        std::vector<uint32_t> ids(n);
-        for (uint32_t& id : ids) {
-          if (!r.U32(&id)) {
-            return std::nullopt;
-          }
-        }
-        inv = std::move(ids);
-      }
-    }
-    for (auto& c : st.commits) {
-      if (!ReadOptionalBlob(r, &c)) {
-        return std::nullopt;
-      }
-    }
-    for (auto& c : st.server_cts) {
-      if (!ReadOptionalBlob(r, &c)) {
-        return std::nullopt;
-      }
-    }
-    for (auto& s : st.sigs) {
-      if (!ReadOptionalBlob(r, &s)) {
-        return std::nullopt;
-      }
-    }
-  }
-  early_.clear();
-  uint32_t n_early = 0;
-  if (!r.U32(&n_early) || n_early > (1u << 16)) {
-    return std::nullopt;
-  }
-  for (uint32_t i = 0; i < n_early; ++i) {
-    uint64_t round = 0;
-    uint32_t n_msgs = 0;
-    if (!r.U64(&round) || !r.U32(&n_msgs) || n_msgs > (1u << 16)) {
-      return std::nullopt;
-    }
-    auto& slot = early_[round];
-    for (uint32_t k = 0; k < n_msgs; ++k) {
-      uint32_t sender = 0;
-      Bytes frame;
-      if (!r.U32(&sender) || !r.Blob(&frame)) {
-        return std::nullopt;
-      }
-      auto parsed = ParseWire(frame);
-      if (!parsed.has_value()) {
-        return std::nullopt;
-      }
-      slot.emplace_back(sender, std::move(*parsed));
-    }
-  }
-  recent_.clear();
-  uint32_t n_recent = 0;
-  if (!r.U32(&n_recent) || n_recent > (1u << 16)) {
-    return std::nullopt;
-  }
-  for (uint32_t i = 0; i < n_recent; ++i) {
-    Bytes frame;
-    if (!r.Blob(&frame)) {
-      return std::nullopt;
-    }
-    auto parsed = ParseWire(frame);
-    if (!parsed.has_value() || !std::holds_alternative<wire::RoundSummary>(*parsed)) {
-      return std::nullopt;
-    }
-    recent_.push_back(std::get<wire::RoundSummary>(std::move(*parsed)));
-  }
-  if (!mailbox_.RestoreFrom(r)) {
-    return std::nullopt;
-  }
-  abort_certs_.clear();
-  abort_prepares_.clear();
   pending_certs_.clear();
   catching_up_ = false;
   catchup_timer_armed_ = false;
-  uint32_t n_certs = 0;
-  if (!r.U32(&n_certs) || n_certs > (1u << 16)) {
-    return std::nullopt;
-  }
-  for (uint32_t i = 0; i < n_certs; ++i) {
-    Bytes frame;
-    if (!r.Blob(&frame)) {
-      return std::nullopt;
-    }
-    auto parsed = ParseWire(frame);
-    if (!parsed.has_value() || !std::holds_alternative<wire::AbortCommit>(*parsed)) {
-      return std::nullopt;
-    }
-    auto cert = std::get<wire::AbortCommit>(std::move(*parsed));
-    const uint64_t round = cert.round;
-    abort_certs_.emplace(round, std::move(cert));
-  }
-  uint32_t n_prep = 0;
-  if (!r.U32(&n_prep) || n_prep > (1u << 16)) {
-    return std::nullopt;
-  }
-  for (uint32_t i = 0; i < n_prep; ++i) {
-    uint64_t round = 0;
-    uint32_t n_by = 0;
-    if (!r.U64(&round) || !r.U32(&n_by) || n_by > num_servers_) {
-      return std::nullopt;
-    }
-    auto& by_server = abort_prepares_[round];
-    for (uint32_t k = 0; k < n_by; ++k) {
-      uint32_t sid = 0;
-      uint64_t epoch = 0;
-      Bytes sig;
-      if (!r.U32(&sid) || !r.U64(&epoch) || !r.Blob(&sig)) {
-        return std::nullopt;
-      }
-      by_server[sid] = {epoch, std::move(sig)};
-    }
-  }
-  if (!r.AtEnd()) {
+  LoadArchive ar(snapshot);
+  if (!Fields(ar) || !ar.AtEnd()) {
     return std::nullopt;
   }
   // Re-arm every backstop the crash erased. Elapsed in-crash time counts
   // against the deadlines (a deadline already past fires immediately).
   Actions a;
-  for (const RoundState& st : rounds_) {
+  for (RoundState& st : rounds_) {
+    st.reoffered.assign(num_servers_, false);
     if (!st.active) {
       continue;
     }

@@ -178,12 +178,12 @@ class ReliableMailbox {
   // Peak unacked frames pending across all links at once.
   uint64_t max_in_flight() const { return max_in_flight_; }
 
-  // Snapshot both directions of every link (pending frames, cumulative
-  // frontiers, out-of-order sets) so a restarted node neither replays
-  // delivered frames nor orphans unacked ones. Restored timeouts are reset
-  // to the initial rto.
-  void SerializeTo(Writer& w) const;
-  bool RestoreFrom(Reader& r);
+  // Snapshot field list (util/serialize.h): both directions of every link
+  // (pending frames, cumulative frontiers, out-of-order sets), so a
+  // restarted node neither replays delivered frames nor orphans unacked
+  // ones. Restored frames are due at once, at the initial rto.
+  template <class Ar>
+  bool Fields(Ar& ar);
 
  private:
   struct Pending {
@@ -309,8 +309,14 @@ class ServerEngine {
   // Rebuilds from a snapshot taken by the same server (index and pipeline
   // depth must match). Returns the timer re-arms (window/deadline backstops
   // for every restored round, plus the retransmit sweep) or nullopt on a
-  // malformed snapshot. Pseudonym keys and evidence retention must be
-  // reinstalled on the logic by the transport *before* this call.
+  // malformed snapshot. The contract:
+  //  * call it only on a freshly built logic+engine pair, with pseudonym
+  //    keys and evidence retention already reinstalled on the logic;
+  //  * a rejected snapshot may leave the pair partly loaded, so the caller
+  //    discards it;
+  //  * SerializeSnapshot right after a restore reproduces the input only
+  //    with abort agreement off (Config::abort_deadline_us == 0): with it
+  //    on, the restore queues a catch-up request to the siblings.
   std::optional<Actions> RestoreSnapshot(const Bytes& snapshot, int64_t now_us);
 
   // Timer-token introspection for transports that prune their timer heaps:
@@ -444,6 +450,9 @@ class ServerEngine {
   };
 
   RoundState* FindRound(uint64_t round);
+  // Snapshot field list behind SerializeSnapshot/RestoreSnapshot.
+  template <class Ar>
+  bool Fields(Ar& ar);
   void StartRound(uint64_t round, int64_t now_us, Actions& a);
   // The pre-reliability HandleMessage body: dispatches one already-unwrapped
   // message. The public entry point peels Reliable/Ack frames first.

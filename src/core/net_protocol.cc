@@ -371,16 +371,18 @@ void NetDissent::RestoreServer(size_t j) {
   logic->SetEvidenceRounds(options_.evidence_rounds);
   logic->SetPseudonymKeys(pseudonym_keys_);
   logic->BeginSlots(clients_.size());
+  auto engine = std::make_unique<ServerEngine>(logic.get(), def_, ServerConfigFor(j));
+  auto actions = engine->RestoreSnapshot(s.snapshot, sim_->Now());
+  if (!actions.has_value()) {
+    return;  // a rejected snapshot leaves the server down, and uncounted
+  }
   s.logic = std::move(logic);
-  s.engine = std::make_unique<ServerEngine>(s.logic.get(), def_, ServerConfigFor(j));
+  s.engine = std::move(engine);
+  s.snapshot.clear();
   s.crashed = false;
   net_.SetOnline(s.node, true);
   ++server_restarts_;
-  auto actions = s.engine->RestoreSnapshot(s.snapshot, sim_->Now());
-  s.snapshot.clear();
-  if (actions.has_value()) {
-    DispatchServer(j, std::move(*actions));
-  }
+  DispatchServer(j, std::move(*actions));
 }
 
 void NetDissent::SubmitWithDelay(size_t client_index, Network::Frame frame, bool round_paced) {

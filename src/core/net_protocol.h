@@ -172,7 +172,8 @@ class NetDissent {
   uint64_t checksum_drops() const { return checksum_drops_; }
   // Certificate-retired round aborts (server 0's count).
   uint64_t rounds_aborted() const;
-  // Server crash/restart cycles the harness has enacted.
+  // Server crash/restart cycles the harness has enacted; a restart whose
+  // snapshot is rejected leaves the server down and is not counted.
   uint64_t server_restarts() const { return server_restarts_; }
 
  private:

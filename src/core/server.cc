@@ -415,111 +415,37 @@ void DissentServer::AbortRound(uint64_t round) {
   }
 }
 
+template <class Ar>
+bool DissentServer::Fields(Ar& ar) {
+  const size_t n = def_.num_clients();
+  return ar.Expect("dissent.server.state.v1") && ar.Expect(index_) &&
+         ar.U64(sched_base_round_) && ar.U64(newest_round_) && ar.Expect(scheds_.size()) &&
+         ar.Each(scheds_, [&](SlotSchedule& s) { return s.Fields(ar); }) &&
+         ar.Expect(expelled_.size()) &&
+         ar.Each(expelled_, [&](auto&& expelled) { return ar.Bool(expelled); }) &&
+         // The in-flight submission ring (see SerializeState); the engine's
+         // snapshot replays its own inventory/commit progress on top.
+         ar.Expect(rounds_.size()) && ar.Each(rounds_, [&](RoundSlot& slot) {
+           return ar.U64(slot.round) && ar.Bool(slot.active) && ar.Blob(slot.recv_acc) &&
+                  ar.Blob(slot.server_ct) &&
+                  ar.Seq(slot.received_ids, n,
+                         [&](uint32_t& id) { return ar.U32(id) && ar.Check(id < n); }) &&
+                  ar.Seq(slot.submitted, (n + 63) / 64,
+                         [&](uint64_t& word) { return ar.U64(word); });
+         });
+}
+
 Bytes DissentServer::SerializeState() const {
-  Writer w;
-  w.Str("dissent.server.state.v1");
-  w.U32(static_cast<uint32_t>(index_));
-  w.U64(sched_base_round_);
-  w.U64(newest_round_);
-  w.U32(static_cast<uint32_t>(scheds_.size()));
-  for (const SlotSchedule& s : scheds_) {
-    s.SerializeTo(w);
-  }
-  w.U32(static_cast<uint32_t>(expelled_.size()));
-  for (size_t i = 0; i < expelled_.size(); ++i) {
-    w.U8(expelled_[i] ? 1 : 0);
-  }
-  // In-flight submission ring: without it a restarted server would reopen
-  // its rounds empty and could sign a *different* combined ciphertext for a
-  // round it had already gossiped — self-equivocation by amnesia. With it,
-  // restart resumes the combine exactly where the crash interrupted it.
-  w.U32(static_cast<uint32_t>(rounds_.size()));
-  for (const RoundSlot& slot : rounds_) {
-    w.U64(slot.round);
-    w.Bool(slot.active);
-    w.Blob(slot.recv_acc);
-    w.Blob(slot.server_ct);
-    w.U32(static_cast<uint32_t>(slot.received_ids.size()));
-    for (uint32_t id : slot.received_ids) {
-      w.U32(id);
-    }
-    w.U32(static_cast<uint32_t>(slot.submitted.size()));
-    for (uint64_t word : slot.submitted) {
-      w.U64(word);
-    }
-  }
-  return w.Take();
+  SaveArchive ar;
+  const_cast<DissentServer*>(this)->Fields(ar);
+  return ar.Take();
 }
 
 bool DissentServer::RestoreState(const Bytes& state) {
-  Reader r(state);
-  std::string magic;
-  uint32_t index, sched_count, expelled_count;
-  uint64_t base, newest;
-  if (!r.Str(&magic) || magic != "dissent.server.state.v1" || !r.U32(&index) ||
-      index != index_ || !r.U64(&base) || !r.U64(&newest) || !r.U32(&sched_count) ||
-      sched_count != pipeline_depth_) {
+  LoadArchive ar(state);
+  if (!Fields(ar) || !ar.AtEnd()) {
     return false;
   }
-  std::deque<SlotSchedule> scheds;
-  for (uint32_t k = 0; k < sched_count; ++k) {
-    auto s = SlotSchedule::DeserializeFrom(r);
-    if (!s.has_value()) {
-      return false;
-    }
-    scheds.push_back(std::move(*s));
-  }
-  if (!r.U32(&expelled_count) || expelled_count != def_.num_clients() ||
-      expelled_count > r.remaining()) {
-    return false;
-  }
-  std::vector<bool> expelled(expelled_count, false);
-  for (uint32_t i = 0; i < expelled_count; ++i) {
-    uint8_t b;
-    if (!r.U8(&b) || b > 1) {
-      return false;
-    }
-    expelled[i] = b != 0;
-  }
-  uint32_t ring_count;
-  if (!r.U32(&ring_count) || ring_count != pipeline_depth_) {
-    return false;
-  }
-  std::vector<RoundSlot> rounds(ring_count);
-  for (uint32_t k = 0; k < ring_count; ++k) {
-    RoundSlot& slot = rounds[k];
-    uint32_t n_ids, n_words;
-    if (!r.U64(&slot.round) || !r.Bool(&slot.active) || !r.Blob(&slot.recv_acc) ||
-        !r.Blob(&slot.server_ct) || !r.U32(&n_ids) || n_ids > def_.num_clients()) {
-      return false;
-    }
-    slot.received_ids.resize(n_ids);
-    for (uint32_t i = 0; i < n_ids; ++i) {
-      if (!r.U32(&slot.received_ids[i]) || slot.received_ids[i] >= def_.num_clients()) {
-        return false;
-      }
-    }
-    if (!r.U32(&n_words) || n_words > (def_.num_clients() + 63) / 64) {
-      return false;
-    }
-    slot.submitted.resize(n_words);
-    for (uint32_t i = 0; i < n_words; ++i) {
-      if (!r.U64(&slot.submitted[i])) {
-        return false;
-      }
-    }
-  }
-  if (!r.AtEnd()) {
-    return false;
-  }
-  scheds_ = std::move(scheds);
-  sched_base_round_ = base;
-  newest_round_ = newest;
-  expelled_ = std::move(expelled);
-  // The in-flight rounds resume exactly where the crash interrupted them:
-  // already-accepted submissions are in the accumulators, and the engine's
-  // snapshot replays its own inventory/commit progress on top.
-  rounds_ = std::move(rounds);
   evidence_.clear();
   evidence_bytes_ = 0;
   equivocator_.reset();

@@ -93,6 +93,8 @@ class DissentServer {
   bool AcceptClientCiphertext(uint64_t round, size_t client_index, Bytes ciphertext);
   size_t SubmissionCount(uint64_t round) const;
   size_t SubmissionCount() const;  // newest started round
+  // True while `round` is open in the ring (started, not yet finished).
+  bool RoundOpen(uint64_t round) const { return FindRound(round) != nullptr; }
 
   // --- step 2: inventory ---
   std::vector<uint32_t> Inventory(uint64_t round) const;
@@ -161,13 +163,14 @@ class DissentServer {
 
   // --- crash recovery (engine-driven) ---
   // Serialized session state a restarting server needs to rejoin mid-stream:
-  // the lagged schedule window and the expulsion set. In-flight round state
-  // (ring, accumulators) is deliberately excluded — those rounds are redone
-  // from peers' retransmissions. Evidence and pseudonym keys are excluded
-  // too: tracing for pre-crash rounds degrades to unavailable, and the
-  // transport reinstalls keys on restart. RestoreState also reseeds the
-  // internal rng from the snapshot hash, keeping the restarted server
-  // deterministic (steady-state signing no longer touches it at all).
+  // the lagged schedule window, the expulsion set, and the in-flight
+  // submission ring with its accumulators, so a restarted server resumes
+  // each combine instead of signing a different ciphertext for a round it
+  // already gossiped (self-equivocation by amnesia). Evidence and pseudonym
+  // keys are excluded: tracing for pre-crash rounds degrades to unavailable,
+  // and the transport reinstalls keys on restart. RestoreState expects a
+  // freshly built server and reseeds the internal rng from the state bytes,
+  // keeping the restarted server deterministic.
   Bytes SerializeState() const;
   bool RestoreState(const Bytes& state);
 
@@ -248,6 +251,9 @@ class DissentServer {
 
   RoundSlot* FindRound(uint64_t round);
   const RoundSlot* FindRound(uint64_t round) const;
+  // Snapshot field list behind SerializeState/RestoreState.
+  template <class Ar>
+  bool Fields(Ar& ar);
   void ResetScheduleWindow(SlotSchedule initial);
   void NotePeakState();
   void PruneEvidence();

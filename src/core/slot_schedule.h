@@ -15,7 +15,6 @@
 #define DISSENT_CORE_SLOT_SCHEDULE_H_
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "src/core/cleartext.h"
@@ -46,14 +45,20 @@ class SlotSchedule {
   // Applies one completed round's output, updating every slot length.
   void Advance(const Bytes& cleartext);
 
-  // Snapshot support (crash-recovery, see engine.h): the schedule is part of
-  // a server's serialized session state.
-  void SerializeTo(Writer& w) const;
-  static std::optional<SlotSchedule> DeserializeFrom(Reader& r);
-
   // Clamp for requested lengths (guards against a disruptor opening a
   // gigantic slot through a corrupted header).
   static constexpr uint32_t kMaxSlotLength = 1 << 20;
+
+  // Snapshot field list (util/serialize.h), part of a server's session
+  // state. The default open length and slot count are the group's, fixed
+  // when the schedule is built, so a load only accepts a match.
+  template <class Ar>
+  bool Fields(Ar& ar) {
+    return ar.Expect(default_open_length_) && ar.Expect(lengths_.size()) &&
+           ar.Each(lengths_, [&](uint32_t& len) {
+             return ar.U32(len) && ar.Check(len <= kMaxSlotLength);
+           });
+  }
 
  private:
   std::vector<uint32_t> lengths_;

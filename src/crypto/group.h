@@ -7,8 +7,8 @@
 //
 // Parameter sets: 256/512/1024/2048-bit safe primes generated offline and
 // re-verified by Miller-Rabin in tests. 256-bit is the test/CI default (fast);
-// the paper's deployment would use >= 1024 (see EXPERIMENTS.md for how group
-// size is treated in the reproduction).
+// the paper's deployment would use >= 1024 (ROADMAP.md direction 2 prices
+// the group size before choosing one).
 #ifndef DISSENT_CRYPTO_GROUP_H_
 #define DISSENT_CRYPTO_GROUP_H_
 

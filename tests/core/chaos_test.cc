@@ -6,6 +6,8 @@
 
 #include "src/core/coordinator.h"
 #include "src/core/net_protocol.h"
+#include "src/crypto/sha256.h"
+#include "tests/snapshot_fixture.h"
 
 namespace dissent {
 namespace {
@@ -484,6 +486,20 @@ TEST(ChaosTest, ServerSnapshotRoundTripsInFlightState) {
   auto actions = engine.RestoreSnapshot(snap, w->sim.Now());
   ASSERT_TRUE(actions.has_value()) << "snapshot restore rejected";
   EXPECT_EQ(engine.SerializeSnapshot(), snap) << "restore is not a fixed point";
+}
+
+TEST(ChaosTest, EngineSnapshotFixtureRestoresToIdenticalBytes) {
+  // The on-disk engine snapshot format, pinned: a fixture written before
+  // the symmetric codec, with every section non-empty (see
+  // tests/snapshot_fixture.h), restores into a fresh logic+engine pair and
+  // re-serializes to the identical bytes.
+  const Bytes snap = ReadFixture("engine_snapshot_v1.bin");
+  ASSERT_EQ(ToHex(Sha256::Hash(snap)),
+            "2eadc038044099fb423671ed32ac90ebecdb82a62b81b23cf759e5c3c3c970c1");
+  EngineFixture fixture;
+  auto again = fixture.RoundTrip(snap, 24 * kSecond);
+  ASSERT_TRUE(again.has_value()) << "fixture restore rejected";
+  EXPECT_EQ(*again, snap) << "the snapshot format changed";
 }
 
 }  // namespace

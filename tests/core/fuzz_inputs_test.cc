@@ -17,6 +17,7 @@
 #include "src/net/net_wire.h"
 #include "src/util/rng.h"
 #include "src/util/serialize.h"
+#include "tests/snapshot_fixture.h"
 
 namespace dissent {
 namespace {
@@ -631,6 +632,97 @@ TEST(FuzzTest, HelloMacRejectsEveryBitFlip) {
   const Bytes other = net::SessionSecret(43, BytesOf("gid"));
   EXPECT_FALSE(net::VerifyHello(secret, net::MakeHello(other, net::Hello::kServer, 3, 1,
                                                        0xabcdef)));
+}
+
+TEST(FuzzTest, ServerStateRejectsSchedulesTheGroupCannotProduce) {
+  // A restored slot schedule must be one this group builds: its default
+  // open length is the group policy's (a restored 0xFFFFFFFF would open a
+  // 4 GiB slot on the first request) and it has one slot per client.
+  SecureRng rng = SecureRng::FromLabel(72);
+  std::vector<BigInt> server_privs, client_privs;
+  GroupDef def = MakeTestGroup(G(), 2, 6, rng, &server_privs, &client_privs);
+  DissentServer fresh(def, 0, server_privs[0], SecureRng::FromLabel(1), 1);
+  fresh.BeginSlots(6);
+  const Bytes state = fresh.SerializeState();
+  auto u32_at = [&](size_t at) {
+    uint32_t v = 0;
+    for (size_t k = 0; k < 4; ++k) {
+      v |= static_cast<uint32_t>(state[at + k]) << (8 * k);
+    }
+    return v;
+  };
+  // After the magic, index, base round, newest round and schedule count:
+  // the schedule's default open length, then its slot count and lengths.
+  constexpr size_t kDefaultLengthAt = 51;
+  constexpr size_t kSlotCountAt = 55;
+  ASSERT_EQ(u32_at(kDefaultLengthAt), def.policy.default_slot_length);
+  ASSERT_EQ(u32_at(kSlotCountAt), 6u);
+  EXPECT_TRUE(DissentServer(fresh).RestoreState(state));
+
+  for (uint32_t bad : {0u, 1u, SlotSchedule::kMaxSlotLength + 1, 0xFFFFFFFFu}) {
+    Bytes patched = state;
+    for (size_t k = 0; k < 4; ++k) {
+      patched[kDefaultLengthAt + k] = static_cast<uint8_t>(bad >> (8 * k));
+    }
+    EXPECT_FALSE(DissentServer(fresh).RestoreState(patched)) << "default open length " << bad;
+  }
+  // A well-formed 3-slot schedule: count 3 and the last three lengths cut.
+  Bytes three = state;
+  three[kSlotCountAt] = 3;
+  const size_t lengths_at = kSlotCountAt + 4;
+  three.erase(three.begin() + lengths_at + 3 * 4, three.begin() + lengths_at + 6 * 4);
+  EXPECT_FALSE(DissentServer(fresh).RestoreState(three)) << "3-slot schedule, 6 clients";
+}
+
+TEST(FuzzTest, DamagedEngineSnapshotIsRejectedOrHarmless) {
+  // Restores the engine fixture (tests/snapshot_fixture.h) with damage.
+  // The sanitizer build turns any overflow or bad access into a failure.
+  constexpr int64_t kNow = 100 * 1000000ll;
+  const Bytes snap = ReadFixture("engine_snapshot_v1.bin");
+  ASSERT_EQ(snap.size(), 5885u);
+  EngineFixture fixture;
+  ASSERT_TRUE(fixture.RoundTrip(snap, kNow).has_value());
+
+  // Damage a restore must reject: accepted, each one crashes the restored
+  // server or overflows.
+  struct Flip {
+    size_t at;
+    uint8_t mask;
+    const char* what;
+  };
+  const Flip rejected[] = {
+      // Re-arming the hard deadline (started + deadline - now) overflows.
+      {397, 0x80, "top byte of round 18's started_us: a time near -2^63"},
+      // The first timer builds round 18's ciphertext in the logic's ring.
+      {213, 0x01, "the logic ring holds round 19 where the engine has 18"},
+      {381, 0x01, "the engine ring holds round 19 where the logic has 18"},
+      // Building round 18's ciphertext indexes the client arrays by it.
+      {425, 0x80, "server 0's inventory for round 18 lists client 128 of 12"},
+  };
+  for (const Flip& flip : rejected) {
+    Bytes damaged = snap;
+    damaged[flip.at] ^= flip.mask;
+    EXPECT_FALSE(fixture.RoundTrip(damaged, kNow, 40).has_value()) << flip.what;
+  }
+
+  for (size_t n = 0; n < snap.size(); ++n) {
+    EXPECT_FALSE(fixture.RoundTrip(Bytes(snap.begin(), snap.begin() + n), kNow).has_value())
+        << "strict prefix of " << n << " bytes accepted";
+  }
+
+  // Single-byte flips: many are accepted (a flip inside a blob still makes
+  // a valid snapshot), and neither the restore nor the restored server's
+  // timers may crash.
+  Rng rng(9114);
+  const uint8_t masks[] = {0x01, 0x80, 0xFF};
+  size_t accepted = 0;
+  for (int i = 0; i < 3000; ++i) {
+    Bytes flipped = snap;
+    flipped[rng.Below(flipped.size())] ^= masks[rng.Below(3)];
+    accepted += fixture.RoundTrip(flipped, kNow, 40).has_value() ? 1 : 0;
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, 3000u);
 }
 
 }  // namespace

@@ -16,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include "src/core/coordinator.h"
+#include "src/crypto/sha256.h"
 #include "src/net/socket_transport.h"
+#include "tests/snapshot_fixture.h"
 
 namespace dissent {
 namespace net {
@@ -199,6 +201,27 @@ TEST(SocketTransport, SnapshotRestoreMidRunStaysByteIdentical) {
   }
   EXPECT_FALSE(dep.servers[0]->halted());
   EXPECT_FALSE(dep.servers[1]->halted());
+}
+
+// dissentd's on-disk snapshot format, pinned: a snapshot server 1 of the
+// deployment above wrote after 3 rounds (tests/snapshot_fixture.h) restores
+// into a fresh node, which re-serializes it to the identical bytes.
+TEST(SocketTransport, SnapshotFixtureRestoresToIdenticalBytes) {
+  DeployConfig cfg;
+  cfg.seed = 23;
+  cfg.num_servers = 2;
+  cfg.num_clients = 4;
+  cfg.clients_per_host = 2;
+  cfg.rounds = 12;
+  cfg.base_port = 31260;
+
+  const Bytes snapshot = ReadFixture("dsnp_snapshot_v1.bin");
+  ASSERT_EQ(ToHex(Sha256::Hash(snapshot)),
+            "cf4b1b8f57f089295cd71b74d9007e1ad0be86f7edc7a345c81b9c4327a910a8");
+  EventLoop loop;
+  ServerNode node(&loop, cfg, 1);
+  ASSERT_TRUE(node.RestoreFromSnapshot(snapshot));
+  EXPECT_EQ(node.SnapshotBytes(), snapshot) << "the snapshot format changed";
 }
 
 // A connection whose hello authenticates under the wrong secret must be
